@@ -1,7 +1,8 @@
 """Flow-series ingestion, repair, normalization, windowing and splits.
 
 Sources are T x N matrices of vehicle counts per 5-minute interval, either
-as headerless CSV (literal ``nan`` marks a missing cell) or as the packed
+as headerless CSV (literal ``nan`` marks a missing cell; so does any other
+non-finite value, ``inf`` included) or as the packed
 binary format described in the README (magic ``ESGCNDS1``, JSON header,
 float32 payload, optional missing-value mask).
 
@@ -70,7 +71,7 @@ def load_csv(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
         raise DataError(f"malformed csv {path}: {exc}") from None
     if values.size == 0:
         raise DataError(f"empty data file: {path}")
-    mask = np.isnan(values)
+    mask = ~np.isfinite(values)
     if zeros_as_missing:
         mask |= values == 0.0
     values = np.where(mask, 0.0, values)
@@ -109,7 +110,7 @@ def load_bin(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
                              offset=header_end + 4 * t * n).reshape(t, n) != 0
     else:
         mask = np.zeros((t, n), dtype=bool)
-    mask = mask | np.isnan(values)
+    mask = mask | ~np.isfinite(values)
     if zeros_as_missing:
         mask |= values == 0.0
     values = np.where(mask, 0.0, values).astype(np.float32)

@@ -186,24 +186,34 @@ def _case_cosine_similarity() -> OpCase:
     return OpCase("cosine_similarity", build)
 
 
-def _case_relation_sum() -> OpCase:
+def _case_edge_max() -> OpCase:
+    def build(rng):
+        # the leading time step dominates R with well-separated, per-node
+        # permuted channel levels, so the FD step cannot flip the argmax
+        b, c, n, l = 2, 5, 4, 3
+        s = rng.uniform(-1.0, 1.0, size=(b, n, n, l))
+        s[..., 0] = rng.uniform(0.5, 1.0, size=(b, n, n))
+        f = rng.uniform(-0.2, 0.2, size=(b, c, n, l))
+        levels = np.stack([rng.permutation(c) for _ in range(b * n)]) * 2.0
+        f[..., 0] = levels.reshape(b, n, c).transpose(0, 2, 1)
+        corr = T.Tensor(s, requires_grad=True, dtype=np.float64)
+        feat = T.Tensor(f, requires_grad=True, dtype=np.float64)
+        w = _projection(rng, (b, n, n))
+        return {"corr": corr, "feat": feat}, lambda: _project(T.edge_max(corr, feat), w)
+
+    return OpCase("edge_max", build)
+
+
+def _case_edge_mix() -> OpCase:
     def build(rng):
         s = _leaf(rng, (2, 4, 4, 3))
         f = _leaf(rng, (2, 5, 4, 3))
-        w = _projection(rng, (2, 5, 4, 4))
-        return {"corr": s, "feat": f}, lambda: _project(T.relation_sum(s, f), w)
-
-    return OpCase("relation_sum", build)
-
-
-def _case_neighbor_mix() -> OpCase:
-    def build(rng):
-        r = _leaf(rng, (2, 5, 4, 4))
         a = _leaf(rng, (2, 4, 4))
         w = _projection(rng, (2, 5, 4))
-        return {"rel": r, "adj": a}, lambda: _project(T.neighbor_mix(r, a), w)
+        return ({"corr": s, "feat": f, "adj": a},
+                lambda: _project(T.edge_mix(s, f, a), w))
 
-    return OpCase("neighbor_mix", build)
+    return OpCase("edge_mix", build)
 
 
 def _case_matmul() -> OpCase:
@@ -222,18 +232,6 @@ def _case_trace() -> OpCase:
         return {"a": a}, lambda: T.trace(a)
 
     return OpCase("trace", build)
-
-
-def _case_max_over_channel() -> OpCase:
-    def build(rng):
-        # well-separated values: the FD step must not flip the argmax
-        base = rng.uniform(-2.0, 2.0, size=(2, 6, 3, 4))
-        base += rng.permutation(np.linspace(0, 6.0, 6)).reshape(1, 6, 1, 1)
-        x = T.Tensor(base, requires_grad=True, dtype=np.float64)
-        w = _projection(rng, (2, 3, 4))
-        return {"x": x}, lambda: _project(T.max_over_channel(x), w)
-
-    return OpCase("max_over_channel", build)
 
 
 def _case_mean_over_channel() -> OpCase:
@@ -271,15 +269,6 @@ def _case_take_time() -> OpCase:
     return OpCase("take_time", build)
 
 
-def _case_transpose_last2() -> OpCase:
-    def build(rng):
-        x = _leaf(rng, (2, 3, 4, 5))
-        w = _projection(rng, (2, 3, 5, 4))
-        return {"x": x}, lambda: _project(T.transpose_last2(x), w)
-
-    return OpCase("transpose_last2", build)
-
-
 def _case_huber() -> OpCase:
     def build(rng):
         # keep |pred - target| away from the delta=1 seam
@@ -305,10 +294,8 @@ def default_registry() -> list[OpCase]:
         _unary_case("relu", T.relu, away_from_zero=True),
         _case_sum(),
         _case_mean(),
-        _case_max_over_channel(),
         _case_mean_over_channel(),
         _case_take_time(),
-        _case_transpose_last2(),
         _case_matmul(),
         _case_trace(),
         _case_channel_linear(exact=False),
@@ -318,14 +305,24 @@ def default_registry() -> list[OpCase]:
         _case_layer_norm(),
         _case_cosine_similarity(),
         _case_cosine_correlate(),
-        _case_relation_sum(),
-        _case_neighbor_mix(),
+        _case_edge_max(),
+        _case_edge_mix(),
         _case_huber(),
     ]
 
 
+# (case name suffix, ModelConfig overrides) of the full-model checks: the
+# default and every variant whose edge path differs
+MODEL_VARIANTS = (
+    ("", {}),
+    ("_avg", {"attention_op": "avg"}),
+    ("_max_learned", {"attention_op": "max_learned"}),
+    ("_no_es", {"use_es": False}),
+)
+
+
 def full_model_case(nodes: int = 4, t_in: int = 12, channels: int = 8,
-                    points_per_param: int = 6) -> OpCase:
+                    suffix: str = "", **overrides) -> OpCase:
     """End-to-end check: total training loss of a toy forecaster."""
     from .config import ModelConfig
     from .model import Forecaster
@@ -333,10 +330,16 @@ def full_model_case(nodes: int = 4, t_in: int = 12, channels: int = 8,
 
     def build(rng):
         cfg = ModelConfig(t_in=t_in, horizon=6, channels=(channels,) * 4,
-                          head_hidden=channels, contrast_weight=0.1)
+                          head_hidden=channels, contrast_weight=0.1, **overrides)
         model = Forecaster(cfg, seed=int(rng.integers(2**31)), dtype=np.float64)
         x = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, 1, nodes, t_in)), dtype=np.float64)
         y = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, cfg.horizon, nodes)), dtype=np.float64)
+        # at init every stage ends in a layer norm with unit gamma and zero
+        # beta, so the channel mean of the deepest features is 0 to rounding
+        # and the avg squeeze sits exactly on the relu kink; jitter all
+        # parameters off their constant initial values
+        for p in model.params.values():
+            p.data += rng.uniform(-0.5, 0.5, size=p.shape)
 
         def forward():
             yhat, state = model.forward(x)
@@ -346,7 +349,7 @@ def full_model_case(nodes: int = 4, t_in: int = 12, channels: int = 8,
 
         return dict(model.params), forward
 
-    return OpCase("full_model", build)
+    return OpCase("full_model" + suffix, build)
 
 
 def run_all(seed: int = 0, registry: list[OpCase] | None = None,
@@ -354,6 +357,7 @@ def run_all(seed: int = 0, registry: list[OpCase] | None = None,
     cases = list(default_registry() if registry is None else registry)
     results = [check_case(case, seed=seed + i) for i, case in enumerate(cases)]
     if include_model:
-        case = full_model_case()
-        results.append(check_case(case, seed=seed + len(cases), points_per_leaf=model_points))
+        for suffix, overrides in MODEL_VARIANTS:
+            case = full_model_case(suffix=suffix, **overrides)
+            results.append(check_case(case, seed=seed + len(cases), points_per_leaf=model_points))
     return results

@@ -8,12 +8,18 @@ Pipeline per forward pass:
    default; first/middle are ablation variants);
 3. cosine-correlate every representative against every node's feature at
    every remaining time step -> S [b, n, n, l];
-4. weight the deep features by those correlations and sum over time ->
-   relational edge features R [b, c, n_src, n_tgt];
+4. the relational edge features are the deep features weighted by those
+   correlations and summed over time, R[b, c, i, k] = sum_t S[b, k, i, t]
+   F4[b, c, i, t]; R [b, c, n_src, n_tgt] is never stored whole;
 5. squeeze R's channel axis (max by default), tanh, and rectify into the
    adjacency matrix A and its sign-reversed counterpart A_r - the two are
-   elementwise disjoint by construction and live in [0, 1);
+   elementwise disjoint by construction and live in [0, 1). The max is the
+   fused ``edge_max``, which forms R one sample at a time; the channel mean
+   of R is sum_t S * mean_c(F4) and needs no R at all;
 6. aggregate R with each adjacency and map through a shared linear layer.
+   ``edge_mix`` contracts S, F4 and A in one GEMM per sample, so R is not
+   formed here either. The A_r aggregation feeds only the contrastive loss
+   and is skipped when no gradient is recorded.
 
 Adjacency matrices are oriented row = target: A[k, i] weights source i in
 target k's aggregation.
@@ -54,45 +60,66 @@ def correlate(f_l: T.Tensor, f_c: T.Tensor, eps: float = 1e-8) -> T.Tensor:
 
 
 def relational_features(s: T.Tensor, f4: T.Tensor) -> T.Tensor:
-    return T.relation_sum(s, f4)
+    """R [b, c, n_src, n_tgt] with R[b, c, i, k] = sum_t s[b, k, i, t] f4[b, c, i, t].
+
+    The forward pass never forms R; this numpy recomputation, one sample at a
+    time so that it is batch invariant, is for tests and inspection and
+    records no gradient.
+    """
+    T._edge_operands("relational_features", s, f4)
+    b, c, n, _ = f4.shape
+    r = np.empty((b, c, n, s.shape[1]), dtype=f4.dtype)
+    for sample in range(b):
+        # per source node i: f4[:, i, :] [c, l] @ s[:, i, :].T [l, k]
+        r[sample] = np.matmul(f4.data[sample].transpose(1, 0, 2),
+                              s.data[sample].transpose(1, 2, 0)).transpose(1, 0, 2)
+    return T.Tensor(r)
 
 
-def squeeze_base(rel: T.Tensor, op: str, affine_w: T.Tensor | None = None,
+def squeeze_base(s: T.Tensor, f4: T.Tensor, op: str, affine_w: T.Tensor | None = None,
                  affine_b: T.Tensor | None = None) -> T.Tensor:
     """Channel-squeeze R into tanh pre-edges, oriented [b, target, source]."""
-    if op == "max":
-        pre = T.max_over_channel(rel)
+    if op in ("max", "max_learned"):
+        pre = T.edge_max(s, f4)
+        if op == "max_learned":
+            pre = T.add(T.mul(pre, affine_w), affine_b)
     elif op == "avg":
-        pre = T.mean_over_channel(rel)
-    elif op == "max_learned":
-        pre = T.max_over_channel(rel)
-        pre = T.add(T.mul(pre, affine_w), affine_b)
+        # mean_c R[c, i, k] = sum_t s[k, i, t] * mean_c f4[c, i, t]
+        b, _, n, l = f4.shape
+        mean = T.reshape(T.mean_over_channel(f4), (b, 1, n, l))
+        pre = T.sum_over_axis(T.mul(s, mean), axis=3)
     else:
         raise ValueError(f"unknown attention op {op!r}")
-    return T.tanh(T.transpose_last2(pre))
+    return T.tanh(pre)
 
 
-def squeeze_attention(rel: T.Tensor, op: str, reversed: bool = False,
+def squeeze_attention(s: T.Tensor, f4: T.Tensor, op: str, reversed: bool = False,
                       affine_w: T.Tensor | None = None,
                       affine_b: T.Tensor | None = None) -> T.Tensor:
-    base = squeeze_base(rel, op, affine_w, affine_b)
+    base = squeeze_base(s, f4, op, affine_w, affine_b)
     return T.relu(T.neg(base)) if reversed else T.relu(base)
 
 
-def gcn(rel: T.Tensor, adj: T.Tensor, weight: T.Tensor, bias: T.Tensor) -> T.Tensor:
+def gcn(s: T.Tensor, f4: T.Tensor, adj: T.Tensor, weight: T.Tensor,
+        bias: T.Tensor) -> T.Tensor:
     """Per target node: weight @ (R(:,:,k) @ A(k,:)) + bias."""
-    return T.channel_linear(T.neighbor_mix(rel, adj), weight, bias, exact=True)
+    return T.channel_linear(T.edge_mix(s, f4, adj), weight, bias, exact=True)
 
 
 @dataclass
 class EdgeState:
     """Intermediates kept for losses, export and tests."""
     s: T.Tensor          # correlations [b, n, n, l]
-    rel: T.Tensor        # relational features [b, c, n_src, n_tgt]
+    f4: T.Tensor         # deepest temporal features [b, c, n, l]
     adj: T.Tensor        # [b, n_tgt, n_src]
     adj_reversed: T.Tensor
     f_g: T.Tensor        # [b, c, n]
-    f_gr: T.Tensor
+    f_gr: T.Tensor | None  # None when the forward recorded no gradient
+
+    @property
+    def rel(self) -> T.Tensor:
+        """Relational features [b, c, n_src, n_tgt], recomputed on each read."""
+        return relational_features(self.s, self.f4)
 
 
 class EdgeGraph:
@@ -123,10 +150,10 @@ class EdgeGraph:
         f_c = self.reduce_channels(f4)
         f_l = representative(f_c, self.cfg.representative)
         s = correlate(f_l, f_c, eps=self.cfg.cosine_eps)
-        rel = relational_features(s, f4)
-        base = squeeze_base(rel, self.cfg.attention_op, self.affine_w, self.affine_b)
+        base = squeeze_base(s, f4, self.cfg.attention_op, self.affine_w, self.affine_b)
         adj = T.relu(base)
         adj_rev = T.relu(T.neg(base))
-        f_g = gcn(rel, adj, self.gcn_w, self.gcn_b)
-        f_gr = gcn(rel, adj_rev, self.gcn_w, self.gcn_b)
-        return EdgeState(s, rel, adj, adj_rev, f_g, f_gr)
+        f_g = gcn(s, f4, adj, self.gcn_w, self.gcn_b)
+        # only the contrastive loss reads the reversed aggregation
+        f_gr = gcn(s, f4, adj_rev, self.gcn_w, self.gcn_b) if base.requires_grad else None
+        return EdgeState(s, f4, adj, adj_rev, f_g, f_gr)

@@ -7,16 +7,18 @@ fastest-varying one and the 1x3 temporal kernels read contiguously.
 
 The autodiff graph is dynamic: each op closes over its inputs and records
 a backward closure on the output. ``Tensor.backward()`` walks the graph in
-reverse topological order exactly once and then releases it, so a graph
-cannot be differentiated twice.
+reverse topological order exactly once, releasing each intermediate node as
+soon as its closure has run, so a graph cannot be differentiated twice.
 
 Operations fall in two performance classes:
 
 * convolutions and the fused/head channel maps go through BLAS
-  (``np.tensordot``) for speed;
-* the edge/correlation ops use plain ``np.einsum`` with ``optimize=False``
-  so that per-sample results are bitwise identical whether or not the
-  sample is part of a larger batch.
+  (``np.tensordot``) over the whole batch for speed;
+* the correlation and edge ops loop over samples, one BLAS call or
+  elementwise pass per sample, so that per-sample results are bitwise
+  identical whether or not the sample is part of a larger batch. The edge
+  ops never hold the b x c x n x n relational tensor: ``edge_max`` forms it
+  one sample at a time and ``edge_mix`` contracts it away by associativity.
 """
 
 from __future__ import annotations
@@ -153,14 +155,15 @@ class Tensor:
             raise DetachedTensorError("backward() on a consumed or detached graph")
         topo = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
-        for node in topo:
-            if node._backward_fn is not None:
+                # an intermediate is done once its closure has run: drop its
+                # gradient and linkage now; leaves keep their grads
                 node._backward_fn = None
                 node._parents = ()
-                node.grad = None  # intermediates: free; leaves keep grads
+                node.grad = None
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -332,22 +335,6 @@ def mean_over_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(y), (a,), backward, "mean")
 
 
-def max_over_channel(a: Tensor, axis: int = 1) -> Tensor:
-    """Max over the channel axis. Gradient routes to the argmax; ties break
-    toward the lowest index (np.argmax returns the first occurrence)."""
-    if a.data.ndim <= axis:
-        raise ShapeError(f"max_over_channel: no axis {axis} in shape {a.shape}")
-    idx = np.argmax(a.data, axis=axis)
-    y = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        _accumulate(a, full)
-
-    return _make(np.ascontiguousarray(y), (a,), backward, "max_over_channel")
-
-
 def mean_over_channel(a: Tensor, axis: int = 1) -> Tensor:
     if a.data.ndim <= axis:
         raise ShapeError(f"mean_over_channel: no axis {axis} in shape {a.shape}")
@@ -368,13 +355,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         _accumulate(a, g.reshape(a.shape))
 
     return _make(a.data.reshape(shape), (a,), backward, "reshape")
-
-
-def transpose_last2(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, np.swapaxes(g, -1, -2))
-
-    return _make(np.swapaxes(a.data, -1, -2), (a,), backward, "transpose_last2")
 
 
 def take_time(a: Tensor, index: int) -> Tensor:
@@ -611,71 +591,92 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     return reshape(s, ())
 
 
-def relation_sum(corr: Tensor, feat: Tensor) -> Tensor:
-    """Time-summed, correlation-weighted features.
-
-    corr [b, n_tgt, n_src, l], feat [b, c, n_src, l] -> R [b, c, n_src, n_tgt]
-    with R[b, c, i, k] = sum_t corr[b, k, i, t] * feat[b, c, i, t].
-    """
+def _edge_operands(opname: str, corr: Tensor, feat: Tensor) -> None:
     if corr.data.ndim != 4 or feat.data.ndim != 4:
-        raise ShapeError(f"relation_sum: corr {corr.shape}, feat {feat.shape}")
-    if corr.shape[3] != feat.shape[3] or corr.shape[2] != feat.shape[2]:
-        raise ShapeError(f"relation_sum: time/node extents differ, corr {corr.shape} vs feat {feat.shape}")
+        raise ShapeError(f"{opname}: corr {corr.shape}, feat {feat.shape}")
+    if corr.shape[0] != feat.shape[0] or corr.shape[2:] != feat.shape[2:]:
+        raise ShapeError(f"{opname}: batch/node/time extents differ, "
+                         f"corr {corr.shape} vs feat {feat.shape}")
 
-    b, c = feat.shape[:2]
-    n, l = feat.shape[2], feat.shape[3]
+
+def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
+    """Channel max of the relational edge features, oriented [b, target, source].
+
+    corr [b, n_tgt, n_src, l], feat [b, c, n_src, l] -> [b, n_tgt, n_src] with
+    out[b, k, i] = max_c R[b, c, i, k], R[b, c, i, k] = sum_t corr[b, k, i, t]
+    * feat[b, c, i, t]. R is formed one sample at a time and dropped; only
+    the argmax channel survives for backward, which gathers and scatters
+    through it. Ties break toward the lowest channel.
+    """
+    _edge_operands("edge_max", corr, feat)
+    b, c, n, l = feat.shape
     k = corr.shape[1]
-    r = np.empty((b, c, n, k), dtype=feat.dtype)
+    record = _grad_enabled and (corr.requires_grad or feat.requires_grad)
+    y = np.empty((b, k, n), dtype=feat.dtype)
+    idx = np.empty((b, k, n), dtype=np.intp) if record else None
     for s in range(b):
-        # per source node i: feat[:, i, :] [c, l] @ corr[:, i, :].T [l, k]
-        ri = np.matmul(feat.data[s].transpose(1, 0, 2), corr.data[s].transpose(1, 2, 0))
-        r[s] = ri.transpose(1, 0, 2)
+        # one GEMM per source node i: [k, l] @ [l, c] -> rel [i, k, c], channels
+        # last so that the max and argmax run over contiguous rows
+        rel = np.matmul(corr.data[s].transpose(1, 0, 2), feat.data[s].transpose(1, 2, 0))
+        best = rel.argmax(axis=2)          # faster than rel.max over rows of c
+        y[s] = np.take_along_axis(rel, best[..., None], axis=2)[..., 0].T
+        if record:
+            idx[s] = best.T
 
     def backward(g):
         dcorr = np.empty_like(corr.data)
         dfeat = np.empty_like(feat.data)
+        src = np.arange(n)
         for s in range(b):
-            gi = g[s].transpose(1, 0, 2)                      # [i, c, k]
-            fi = feat.data[s].transpose(1, 0, 2)              # [i, c, l]
-            ci = corr.data[s].transpose(1, 0, 2)              # [i, k, l]
-            dcorr[s] = np.matmul(gi.transpose(0, 2, 1), fi).transpose(1, 0, 2)
-            dfeat[s] = np.matmul(gi, ci).transpose(1, 0, 2)
+            best = idx[s]                                     # [k, i]
+            dcorr[s] = g[s][..., None] * feat.data[s][best, src]
+            # feat[c, i, t] collects g * corr from every target whose max it is
+            slot = (best * n + src).ravel()
+            for t in range(l):
+                dfeat[s, ..., t] = np.bincount(slot, weights=(g[s] * corr.data[s, ..., t]).ravel(),
+                                               minlength=c * n).reshape(c, n)
         _accumulate(corr, dcorr)
         _accumulate(feat, dfeat)
 
-    return _make(r, (corr, feat), backward, "relation_sum")
+    return _make(y, (corr, feat), backward, "edge_max")
 
 
-def neighbor_mix(rel: Tensor, adj: Tensor) -> Tensor:
-    """Aggregate source-node features with per-target edge weights.
+def edge_mix(corr: Tensor, feat: Tensor, adj: Tensor) -> Tensor:
+    """Aggregate the relational edge features through an adjacency.
 
-    rel [b, c, n_src, n_tgt], adj [b, n_tgt, n_src] -> [b, c, n_tgt]
-    with out[b, c, k] = sum_i rel[b, c, i, k] * adj[b, k, i].
+    corr [b, n_tgt, n_src, l], feat [b, c, n_src, l], adj [b, n_tgt, n_src]
+    -> [b, c, n_tgt] with out[b, c, k] = sum_i R[b, c, i, k] * adj[b, k, i]
+    = sum_{i, t} feat[b, c, i, t] * corr[b, k, i, t] * adj[b, k, i]. By
+    associativity R is never formed: per sample this is one GEMM,
+    feat [c, n*l] @ (corr * adj) [n_tgt, n*l]^T.
     """
-    if rel.data.ndim != 4 or adj.data.ndim != 3:
-        raise ShapeError(f"neighbor_mix: rel {rel.shape}, adj {adj.shape}")
-    if rel.shape[2] != adj.shape[2] or rel.shape[3] != adj.shape[1]:
-        raise ShapeError(f"neighbor_mix: node extents differ, rel {rel.shape} vs adj {adj.shape}")
+    _edge_operands("edge_mix", corr, feat)
+    b, c, n, l = feat.shape
+    k = corr.shape[1]
+    if adj.shape != (b, k, n):
+        raise ShapeError(f"edge_mix: adj {adj.shape} vs corr {corr.shape}")
 
-    b, c = rel.shape[:2]
-    n_src, n_tgt = rel.shape[2], rel.shape[3]
-    y = np.empty((b, c, n_tgt), dtype=rel.dtype)
+    def weights(s):
+        return (corr.data[s] * adj.data[s][..., None]).reshape(k, n * l)
+
+    y = np.empty((b, c, k), dtype=feat.dtype)
     for s in range(b):
-        # per target k: rel[:, :, k] [c, i] @ adj[k, :] [i]
-        yk = np.matmul(rel.data[s].transpose(2, 0, 1), adj.data[s][:, :, None])
-        y[s] = yk[:, :, 0].T
+        y[s] = feat.data[s].reshape(c, n * l) @ weights(s).T
 
     def backward(g):
-        drel = np.empty_like(rel.data)
+        dcorr = np.empty_like(corr.data)
+        dfeat = np.empty_like(feat.data)
         dadj = np.empty_like(adj.data)
         for s in range(b):
-            gk = g[s].T[:, :, None]                            # [k, c, 1]
-            drel[s] = np.matmul(gk, adj.data[s][:, None, :]).transpose(1, 2, 0)
-            dadj[s] = np.matmul(rel.data[s].transpose(2, 1, 0), gk)[:, :, 0]
-        _accumulate(rel, drel)
+            dfeat[s] = (g[s] @ weights(s)).reshape(c, n, l)
+            dw = (g[s].T @ feat.data[s].reshape(c, n * l)).reshape(k, n, l)
+            dcorr[s] = dw * adj.data[s][..., None]
+            dadj[s] = np.einsum("kit,kit->ki", dw, corr.data[s])
+        _accumulate(corr, dcorr)
+        _accumulate(feat, dfeat)
         _accumulate(adj, dadj)
 
-    return _make(y, (rel, adj), backward, "neighbor_mix")
+    return _make(y, (corr, feat, adj), backward, "edge_mix")
 
 
 # -- loss kernels ----------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_criterion_3_analytic_unit_values():
 
     from flowcast.graph import squeeze_attention
     one = T.Tensor(np.full((1, 1, 1, 1), 1.0, dtype=np.float64))
-    squeeze_val = squeeze_attention(one, "max").data.item()
+    squeeze_val = squeeze_attention(one, one, "max").data.item()  # R = s * f4 = 1
 
     checks = {
         "huber(0.5)=0.125": abs(h(0.5) - 0.125),

@@ -71,6 +71,25 @@ class TestTrain:
         assert main(["eval", str(tmp_path / "binout" / "best.ckpt"),
                      "--out", str(tmp_path / "bineval")]) == 0
 
+    def test_inf_cell_is_missing_and_metrics_stay_finite(self, tmp_path):
+        values = sinusoid_dataset(nodes=4, steps=150, seed=2).values.astype(np.float64)
+        values[140, 1] = np.inf
+        np.savetxt(tmp_path / "inf.csv", values, delimiter=",", fmt="%.4f")
+        cfg = {"data": {"path": str(tmp_path / "inf.csv"), "format": "csv"},
+               "model": {"channels": [8, 8, 8, 8], "head_hidden": 8},
+               "train": {"epochs": 1, "batch_size": 16, "seed": 0},
+               "output": {"dir": str(tmp_path / "out")}}
+        (tmp_path / "inf.json").write_text(json.dumps(cfg))
+        assert "inf" in (tmp_path / "inf.csv").read_text()
+        assert main(["train", "--config", str(tmp_path / "inf.json")]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite number {name} in metrics.json")
+
+        text = (tmp_path / "out" / "metrics.json").read_text()
+        metrics = json.loads(text, parse_constant=reject)
+        assert np.isfinite(metrics["test"]["rmse"])
+
     def test_use_es_false_trains_and_has_no_adjacency(self, cli_workspace, tmp_path):
         doc = json.loads((cli_workspace / "cfg.json").read_text())
         doc["model"]["use_es"] = False
@@ -179,7 +198,8 @@ class TestGradcheckCommand:
         lines = [l for l in out.splitlines() if "max_rel_err" in l]
         names = [l.split()[0] for l in lines]
         assert len(names) == len(set(names))
-        expected = {case.name for case in gradcheck.default_registry()} | {"full_model"}
+        expected = {case.name for case in gradcheck.default_registry()} | \
+            {"full_model" + suffix for suffix, _ in gradcheck.MODEL_VARIANTS}
         assert set(names) == expected
 
     def test_broken_op_exits_nonzero(self, monkeypatch, capsys):

@@ -119,12 +119,22 @@ class TestRelationalFeatures:
             G.relational_features(s, f4)
 
 
+def explicit_rel(s, f4):
+    """R [b, c, n_src, n_tgt] in float64, written out in full."""
+    return np.einsum("bkit,bcit->bcik", np.asarray(s, np.float64), np.asarray(f4, np.float64))
+
+
+def f64(t):
+    return np.asarray(t.data, np.float64)
+
+
 class TestSqueezeAttention:
-    def rel_with_channel_max(self, value):
-        # single channel so the channel max is exactly `value`; float64 is the
-        # verification precision for analytic values
-        r = np.full((1, 1, 1, 1), value, dtype=np.float64)
-        return T.Tensor(r)
+    def edges_with_channel_max(self, value):
+        # one channel, one node, one time step and s = 1, so R is exactly
+        # `value`; float64 is the verification precision for analytic values
+        s = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float64))
+        f4 = T.Tensor(np.full((1, 1, 1, 1), value, dtype=np.float64))
+        return s, f4
 
     @pytest.mark.parametrize("value,a,ar", [
         (0.0, 0.0, 0.0),
@@ -132,64 +142,157 @@ class TestSqueezeAttention:
         (1.0, np.tanh(1.0), 0.0),
     ])
     def test_analytic_entries(self, value, a, ar):
-        rel = self.rel_with_channel_max(value)
-        assert G.squeeze_attention(rel, "max").data.item() == pytest.approx(a, abs=1e-9)
-        assert G.squeeze_attention(rel, "max", reversed=True).data.item() == pytest.approx(ar, abs=1e-9)
+        s, f4 = self.edges_with_channel_max(value)
+        assert G.squeeze_attention(s, f4, "max").data.item() == pytest.approx(a, abs=1e-9)
+        assert G.squeeze_attention(s, f4, "max", reversed=True).data.item() == pytest.approx(ar, abs=1e-9)
 
     def test_avg_reduces_mean(self):
-        r = np.zeros((1, 2, 1, 1), dtype=np.float64)
-        r[0, 0] = 3.0
-        r[0, 1] = -1.0
-        out = G.squeeze_attention(T.Tensor(r), "avg")
+        s = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float64))
+        f4 = np.zeros((1, 2, 1, 1), dtype=np.float64)
+        f4[0, 0] = 3.0
+        f4[0, 1] = -1.0
+        out = G.squeeze_attention(s, T.Tensor(f4), "avg")
         assert out.data.item() == pytest.approx(np.tanh(1.0), abs=1e-9)
 
     def test_max_learned_identity_at_init(self):
         eg, _ = build_edge_graph(attention_op="max_learned")
-        rel = T.Tensor(np.random.default_rng(8).normal(size=(2, 8, 4, 4)).astype(np.float32))
-        plain = G.squeeze_attention(rel, "max")
-        learned = G.squeeze_attention(rel, "max_learned",
+        rng = np.random.default_rng(8)
+        s = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, 4, 4, 2)).astype(np.float32))
+        f4 = rand_f4(rng, b=2, c=8, n=4)
+        plain = G.squeeze_attention(s, f4, "max")
+        learned = G.squeeze_attention(s, f4, "max_learned",
                                       affine_w=eg.affine_w, affine_b=eg.affine_b)
         assert np.allclose(plain.data, learned.data)
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
-            G.squeeze_attention(self.rel_with_channel_max(0.0), "softmax")
+            G.squeeze_attention(*self.edges_with_channel_max(0.0), "softmax")
 
     def test_scalar_case_uses_item(self):
-        rel = self.rel_with_channel_max(3.0)
-        out = G.squeeze_attention(rel, "max")
+        out = G.squeeze_attention(*self.edges_with_channel_max(3.0), "max")
         assert out.shape == (1, 1, 1)
+
+    @pytest.mark.parametrize("op", ["max", "avg"])
+    def test_matches_explicit_relation(self, op):
+        rng = np.random.default_rng(14)
+        s = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, 5, 5, 3)))
+        f4 = rand_f4(rng, b=2, c=6, n=5, l=3, dtype=np.float64)
+        rel = explicit_rel(s.data, f4.data)
+        squeezed = rel.max(axis=1) if op == "max" else rel.mean(axis=1)
+        expected = np.tanh(squeezed.transpose(0, 2, 1))
+        assert np.allclose(G.squeeze_base(s, f4, op).data, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestGraphConv:
     def test_one_hot_row_selects_source(self):
         rng = np.random.default_rng(9)
         c, n = 4, 5
-        rel = T.Tensor(rng.normal(size=(1, c, n, n)).astype(np.float32))
+        s = T.Tensor(rng.uniform(-1.0, 1.0, size=(1, n, n, 2)).astype(np.float32))
+        f4 = rand_f4(rng, b=1, c=c, n=n)
+        rel = explicit_rel(s.data, f4.data)
         adj = np.zeros((1, n, n), dtype=np.float32)
         j0 = 3
         adj[0, :, j0] = 1.0  # every target attends only to source j0
         w = T.Tensor(np.eye(c, dtype=np.float32))
         b = T.Tensor(np.zeros(c, dtype=np.float32))
-        out = G.gcn(rel, T.Tensor(adj), w, b)
+        out = G.gcn(s, f4, T.Tensor(adj), w, b)
         for k in range(n):
-            assert np.allclose(out.data[0, :, k], rel.data[0, :, j0, k], atol=1e-6)
+            assert np.allclose(out.data[0, :, k], rel[0, :, j0, k], atol=1e-6)
 
     def test_zero_adjacency_yields_bias(self):
         rng = np.random.default_rng(10)
-        rel = T.Tensor(rng.normal(size=(1, 4, 5, 5)).astype(np.float32))
+        s = T.Tensor(rng.uniform(-1.0, 1.0, size=(1, 5, 5, 2)).astype(np.float32))
+        f4 = rand_f4(rng, b=1, c=4, n=5)
         adj = T.Tensor(np.zeros((1, 5, 5), dtype=np.float32))
         w = T.Tensor(rng.normal(size=(4, 4)).astype(np.float32))
         b = T.Tensor(np.arange(4, dtype=np.float32))
-        out = G.gcn(rel, adj, w, b)
+        out = G.gcn(s, f4, adj, w, b)
         assert np.allclose(out.data, np.arange(4, dtype=np.float32).reshape(1, 4, 1))
 
     def test_scalar_case(self):
-        rel = T.Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32))
+        s = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
+        f4 = T.Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32))  # R = 3
         adj = T.Tensor(np.full((1, 1, 1), 0.5, dtype=np.float32))
         w = T.Tensor(np.full((1, 1), 2.0, dtype=np.float32))
         b = T.Tensor(np.zeros(1, dtype=np.float32))
-        assert G.gcn(rel, adj, w, b).data.item() == pytest.approx(3.0)
+        assert G.gcn(s, f4, adj, w, b).data.item() == pytest.approx(3.0)
+
+
+class TestAgainstExplicitRelation:
+    """The forward pass never forms R; a float64 numpy restatement that does
+    must give the same correlations, adjacencies and aggregations."""
+
+    @pytest.mark.parametrize("attention_op", ["max", "avg", "max_learned"])
+    def test_edge_state_matches_reference(self, attention_op):
+        eg, _ = build_edge_graph(attention_op=attention_op)
+        if eg.affine_w is not None:
+            eg.affine_w.data[...] = 1.3
+            eg.affine_b.data[...] = -0.2
+        f4 = rand_f4(np.random.default_rng(15), b=3, n=7)
+        state = eg.forward(f4)
+
+        fc = np.einsum("dc,bcnl->bdnl", f64(eg.reduce_w), f64(f4)) \
+            + f64(eg.reduce_b)[None, :, None, None]
+        rep = fc[..., -1]
+        dots = np.einsum("bdk,bdit->bkit", rep, fc)
+        norms = np.linalg.norm(rep, axis=1)[:, :, None, None] * np.linalg.norm(fc, axis=1)[:, None]
+        s = dots / norms
+        rel = explicit_rel(s, f4.data)
+        if attention_op == "avg":
+            pre = rel.mean(axis=1)
+        else:
+            pre = rel.max(axis=1)
+            if attention_op == "max_learned":
+                pre = 1.3 * pre - 0.2
+        base = np.tanh(pre.transpose(0, 2, 1))              # [b, target, source]
+        adj, adj_r = np.maximum(base, 0.0), np.maximum(-base, 0.0)
+
+        def aggregate(a):
+            return np.einsum("dc,bcik,bki->bdk", f64(eg.gcn_w), rel, a) \
+                + f64(eg.gcn_b)[None, :, None]
+
+        for name, got, want in (("s", state.s, s), ("adj", state.adj, adj),
+                                ("adj_reversed", state.adj_reversed, adj_r),
+                                ("f_g", state.f_g, aggregate(adj)),
+                                ("f_gr", state.f_gr, aggregate(adj_r))):
+            dev = float(np.abs(f64(got) - want).max()) / max(float(np.abs(want).max()), 1e-6)
+            assert dev <= 1e-5, f"{name}: relative deviation {dev:.2e}"
+
+    def test_lazy_rel_matches_reference(self):
+        eg, _ = build_edge_graph()
+        f4 = rand_f4(np.random.default_rng(16), b=2, n=6)
+        state = eg.forward(f4)
+        want = explicit_rel(state.s.data, f4.data)
+        assert state.rel.shape == (2, 8, 6, 6)
+        assert np.allclose(state.rel.data, want, rtol=1e-5, atol=1e-6)
+
+
+class TestNoDenseRelation:
+    def test_training_graph_holds_no_b_c_n2_buffer(self):
+        """Every node of a training step's graph, and every array its backward
+        closure keeps, is smaller than one b x c x n x n relation tensor."""
+        from flowcast.losses import total_loss
+        from flowcast.model import Forecaster
+
+        b, c, n = 2, 8, 24                 # n > t_in: no stage output reaches b*c*n^2
+        cfg = ModelConfig(channels=(c,) * 4, head_hidden=c)
+        model = Forecaster(cfg, seed=0)
+        rng = np.random.default_rng(17)
+        x = T.Tensor(rng.normal(size=(b, 1, n, cfg.t_in)).astype(np.float32))
+        y = T.Tensor(rng.normal(size=(b, cfg.horizon, n)).astype(np.float32))
+        yhat, state = model.forward(x)
+        loss, _, _ = total_loss(yhat, y, state.f_g, state.f_gr, contrast_weight=0.1)
+        limit = b * c * n * n
+        nodes = T._topo_order(loss)
+        assert any(node.op == "edge_max" for node in nodes)
+        for node in nodes:
+            assert node.size < limit, f"{node.op} holds {node.size} elements"
+            cells = (node._backward_fn.__closure__ or ()) if node._backward_fn else ()
+            for cell in cells:
+                kept = cell.cell_contents
+                if isinstance(kept, np.ndarray):
+                    assert kept.size < limit, f"{node.op} backward keeps {kept.size} elements"
+        loss.backward()
 
 
 class TestAdjacencyInvariants:

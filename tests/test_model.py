@@ -175,6 +175,20 @@ class TestReversedBranchIsolation:
         assert state.adjacency(0).adj_reversed is not None
 
 
+class TestNoGradForward:
+    def test_forecast_bitwise_equal_to_recorded_forward(self):
+        model, x = model_and_input(n=6)
+        recorded, state = model.forward(x)
+        assert state.f_gr is not None
+        with T.no_grad():
+            plain, plain_state = model.forward(x)
+        assert np.array_equal(plain.data, recorded.data)
+        # the reversed aggregation only feeds the loss; its adjacency stays
+        assert plain_state.f_gr is None and plain_state.edges.f_gr is None
+        assert np.array_equal(plain_state.adjacency(0).adj_reversed,
+                              state.adjacency(0).adj_reversed)
+
+
 class TestEquivariance:
     def test_full_model_node_permutation(self):
         model, _ = model_and_input(n=6)

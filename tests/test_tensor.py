@@ -127,15 +127,39 @@ class TestLinAlg:
         assert float(T.trace(t64(np.eye(3))).data) == 3.0
 
     def test_max_over_channel_single_channel(self):
+        # edge_max is the channel max of R; with one channel and unit
+        # correlations every target sees the source's own feature
         x = np.arange(8, dtype=np.float64).reshape(2, 1, 4)
-        out = T.max_over_channel(t64(x))
-        assert np.array_equal(out.data, x[:, 0, :])
+        out = T.edge_max(t64(np.ones((2, 4, 4, 1))), t64(x[..., None]))
+        assert np.array_equal(out.data, np.broadcast_to(x[:, 0, None, :], (2, 4, 4)))
 
     def test_max_tie_routes_to_lowest_index(self):
-        x = t64(np.array([[[2.0], [2.0], [1.0]]]), requires_grad=True)  # [1, 3, 1]
-        out = T.max_over_channel(x).sum()
+        x = t64(np.array([[[[2.0]], [[2.0]], [[1.0]]]]), requires_grad=True)  # [1, 3, 1, 1]
+        out = T.edge_max(t64(np.ones((1, 1, 1, 1))), x).sum()
         out.backward()
         assert np.array_equal(x.grad.ravel(), [1.0, 0.0, 0.0])
+
+    def test_edge_max_nograd_value_is_bitwise_the_recorded_one(self):
+        rng = np.random.default_rng(3)
+        s = T.Tensor(rng.uniform(-1, 1, size=(2, 6, 6, 2)).astype(np.float32), requires_grad=True)
+        f = T.Tensor(rng.normal(size=(2, 5, 6, 2)).astype(np.float32), requires_grad=True)
+        with T.no_grad():
+            plain = T.edge_max(s, f)
+        assert np.array_equal(plain.data, T.edge_max(s, f).data)
+
+    def test_edge_mix_is_the_relation_aggregated_through_adj(self):
+        rng = np.random.default_rng(4)
+        s, f, a = rng.normal(size=(2, 5, 4, 3)), rng.normal(size=(2, 6, 4, 3)), rng.normal(size=(2, 5, 4))
+        rel = np.einsum("bkit,bcit->bcik", s, f)
+        out = T.edge_mix(t64(s), t64(f), t64(a))
+        assert np.allclose(out.data, np.einsum("bcik,bki->bck", rel, a), rtol=1e-12)
+
+    def test_edge_ops_reject_mismatched_extents(self):
+        s, f = t64(np.zeros((1, 3, 3, 2))), t64(np.zeros((1, 4, 3, 3)))
+        with pytest.raises(T.ShapeError):
+            T.edge_max(s, f)
+        with pytest.raises(T.ShapeError):
+            T.edge_mix(t64(np.zeros((1, 3, 3, 3))), f, t64(np.zeros((1, 3, 2))))
 
 
 class TestBackward:
@@ -171,6 +195,25 @@ class TestBackward:
         with T.no_grad():
             out = T.tanh(x)
         assert not out.requires_grad
+
+    def test_intermediates_released_as_backward_passes(self):
+        x = t64([1.5, -0.5], requires_grad=True)
+        mid = T.tanh(x)
+        prod = T.mul(mid, mid)
+        loss = prod.sum()
+        seen = []
+        fn = mid._backward_fn
+
+        def spy(g):
+            # prod's closure ran before this one; it must already be released
+            seen.append((prod.grad, prod._backward_fn, prod._parents))
+            fn(g)
+
+        mid._backward_fn = spy
+        loss.backward()
+        assert seen == [(None, None, ())]
+        assert mid.grad is None and mid._backward_fn is None and mid._parents == ()
+        assert np.allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
 
     def test_grad_accumulates_across_uses(self):
         x = t64([3.0], requires_grad=True)
