@@ -9,7 +9,9 @@ UTF-8 name, uint32 float count, and the values as little-endian float32.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +20,23 @@ MAGIC = b"ESGCNCP1"
 
 class CheckpointError(RuntimeError):
     """Corrupt or unreadable checkpoint artifact."""
+
+
+@contextmanager
+def write_atomic(path: str, mode: str = "wb", **open_kwargs):
+    """Open a temp file beside path; it replaces path only if the block completes.
+
+    A write that fails midway leaves any earlier file at path untouched and
+    removes the temp file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def save(path: str, params: dict[str, np.ndarray], config: dict,
@@ -29,7 +48,7 @@ def save(path: str, params: dict[str, np.ndarray], config: dict,
         "param_shapes": {name: list(arr.shape) for name, arr in sorted(params.items())},
     }
     payload = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with write_atomic(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)

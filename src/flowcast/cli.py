@@ -46,7 +46,7 @@ def _prepare_from_config(cfg: C.RunConfig) -> PreparedData:
 
 def _write_json(path: str, doc: dict) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with ckpt.write_atomic(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

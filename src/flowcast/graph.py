@@ -17,9 +17,10 @@ Pipeline per forward pass:
    fused ``edge_max``, which forms R one sample at a time; the channel mean
    of R is sum_t S * mean_c(F4) and needs no R at all;
 6. aggregate R with each adjacency and map through a shared linear layer.
-   ``edge_mix`` contracts S, F4 and A in one GEMM per sample, so R is not
-   formed here either. The A_r aggregation feeds only the contrastive loss
-   and is skipped when no gradient is recorded.
+   ``edge_mix`` contracts S, F4 and A by associativity as one batched
+   matmul, a GEMM per sample, so R is not formed here either. The A_r
+   aggregation feeds only the contrastive loss and is skipped when no
+   gradient is recorded.
 
 Adjacency matrices are oriented row = target: A[k, i] weights source i in
 target k's aggregation.
@@ -53,10 +54,6 @@ def representative(f_c: T.Tensor, position: str) -> T.Tensor:
     """One time slice per node standing in for its temporal state."""
     l = f_c.shape[-1]
     return T.take_time(f_c, REP_INDEX[position](l))
-
-
-def correlate(f_l: T.Tensor, f_c: T.Tensor, eps: float = 1e-8) -> T.Tensor:
-    return T.cosine_correlate(f_l, f_c, eps=eps)
 
 
 def relational_features(s: T.Tensor, f4: T.Tensor) -> T.Tensor:
@@ -103,7 +100,7 @@ def squeeze_attention(s: T.Tensor, f4: T.Tensor, op: str, reversed: bool = False
 def gcn(s: T.Tensor, f4: T.Tensor, adj: T.Tensor, weight: T.Tensor,
         bias: T.Tensor) -> T.Tensor:
     """Per target node: weight @ (R(:,:,k) @ A(k,:)) + bias."""
-    return T.channel_linear(T.edge_mix(s, f4, adj), weight, bias, exact=True)
+    return T.channel_linear(T.edge_mix(s, f4, adj), weight, bias)
 
 
 @dataclass
@@ -144,12 +141,12 @@ class EdgeGraph:
     def reduce_channels(self, f4: T.Tensor) -> T.Tensor:
         if f4.shape[1] % 4 != 0:
             raise T.ShapeError(f"channel count {f4.shape[1]} not divisible by 4")
-        return T.channel_linear(f4, self.reduce_w, self.reduce_b, exact=True)
+        return T.channel_linear(f4, self.reduce_w, self.reduce_b)
 
     def forward(self, f4: T.Tensor) -> EdgeState:
         f_c = self.reduce_channels(f4)
         f_l = representative(f_c, self.cfg.representative)
-        s = correlate(f_l, f_c, eps=self.cfg.cosine_eps)
+        s = T.cosine_correlate(f_l, f_c, eps=self.cfg.cosine_eps)
         base = squeeze_base(s, f4, self.cfg.attention_op, self.affine_w, self.affine_b)
         adj = T.relu(base)
         adj_rev = T.relu(T.neg(base))

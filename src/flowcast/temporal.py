@@ -38,10 +38,6 @@ class WBlock:
         return T.layer_norm(T.mul(gate, embed), self.gamma, self.beta, eps=self.norm_eps)
 
 
-def gnc_forward(x: T.Tensor, block: WBlock) -> T.Tensor:
-    return block.forward(x)
-
-
 class TemporalEncoder:
     """The four-stage stack; forward returns one feature map per stage."""
 

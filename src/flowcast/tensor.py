@@ -12,13 +12,15 @@ soon as its closure has run, so a graph cannot be differentiated twice.
 
 Operations fall in two performance classes:
 
-* convolutions and the fused/head channel maps go through BLAS
-  (``np.tensordot``) over the whole batch for speed;
-* the correlation and edge ops loop over samples, one BLAS call or
-  elementwise pass per sample, so that per-sample results are bitwise
-  identical whether or not the sample is part of a larger batch. The edge
-  ops never hold the b x c x n x n relational tensor: ``edge_max`` forms it
-  one sample at a time and ``edge_mix`` contracts it away by associativity.
+* the channel and edge contractions (``channel_linear``,
+  ``cosine_correlate``, ``edge_mix``) are ``np.matmul`` over a [b, ., .]
+  stack, which numpy runs as one BLAS GEMM per sample, so per-sample
+  results are bitwise identical whether or not the sample is part of a
+  larger batch;
+* ``conv_nodewise`` fuses the batch into one ``np.tensordot`` per kernel
+  tap for speed, and ``edge_max`` loops over samples so that it holds the
+  b x c x n x n relational tensor one sample at a time. ``edge_mix`` never
+  forms that tensor: it contracts it away by associativity.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ def set_debug(flag: bool) -> None:
     """Enable per-op finite-value assertions (slow; for debugging)."""
     global _debug_checks
     _debug_checks = bool(flag)
-
-
-def debug_enabled() -> bool:
-    return _debug_checks
 
 
 @contextmanager
@@ -119,12 +117,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_as_tensor(other, self.dtype), self)
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self.dtype))
 
@@ -136,9 +128,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return sum_over_axis(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_over_axis(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -245,16 +234,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "sub")
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), backward, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
 
@@ -307,32 +286,11 @@ def sum_over_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     y = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
 
     return _make(np.asarray(y), (a,), backward, "sum")
-
-
-def mean_over_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        count = a.shape[axis]
-    y = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        scaled = g / count
-        if axis is not None and not keepdims:
-            scaled = np.expand_dims(scaled, axis)
-        _accumulate(a, np.broadcast_to(scaled, a.shape).astype(a.dtype, copy=False))
-
-    return _make(np.asarray(y), (a,), backward, "mean")
 
 
 def mean_over_channel(a: Tensor, axis: int = 1) -> Tensor:
@@ -374,74 +332,34 @@ def take_time(a: Tensor, index: int) -> Tensor:
 # -- linear algebra -----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-
-    def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), backward, "matmul")
-
-
-def trace(a: Tensor) -> Tensor:
-    if a.data.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace needs a square matrix, got shape {a.shape}")
-
-    def backward(g):
-        _accumulate(a, g * np.eye(a.shape[0], dtype=a.dtype))
-
-    return _make(np.asarray(np.trace(a.data)), (a,), backward, "trace")
-
-
-def channel_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-                   exact: bool = False) -> Tensor:
+def channel_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Map the channel axis of x [b, c, ...] through weight [d, c] (+ bias [d]).
 
     This is a 1x1 convolution over channels: every trailing position is
-    transformed independently. With ``exact=True`` each sample is processed
-    by its own BLAS call, so per-sample results are bitwise independent of
-    the batch extent; the default fuses the batch into one contraction.
+    transformed independently. The trailing axes are flattened into a
+    [b, c, m] stack and multiplied by one GEMM per sample, so per-sample
+    results are bitwise independent of the batch extent.
     """
     if x.data.ndim < 2 or weight.data.ndim != 2 or weight.shape[1] != x.shape[1]:
         raise ShapeError(f"channel_linear: x {x.shape} incompatible with weight {weight.shape}")
     if bias is not None and bias.shape != (weight.shape[0],):
         raise ShapeError(f"channel_linear: bias {bias.shape} incompatible with weight {weight.shape}")
-    trailing = tuple(range(2, x.data.ndim))
     b, c = x.shape[:2]
     d = weight.shape[0]
-    trail_shape = x.shape[2:]
-
-    if exact:
-        y = np.empty((b, d) + trail_shape, dtype=x.dtype)
-        for s in range(b):
-            y[s] = (weight.data @ x.data[s].reshape(c, -1)).reshape((d,) + trail_shape)
-    else:
-        y = np.ascontiguousarray(np.moveaxis(np.tensordot(weight.data, x.data, axes=([1], [1])), 1, 0))
+    xs = x.data.reshape(b, c, -1)
+    y = np.matmul(weight.data, xs)
     if bias is not None:
-        y += bias.data.reshape((-1,) + (1,) * len(trailing))
+        y += bias.data[:, None]
 
     def backward(g):
-        if exact:
-            dw = np.zeros_like(weight.data)
-            dx = np.empty_like(x.data)
-            for s in range(b):
-                gs = g[s].reshape(d, -1)
-                xs = x.data[s].reshape(c, -1)
-                dw += gs @ xs.T
-                dx[s] = (weight.data.T @ gs).reshape((c,) + trail_shape)
-            _accumulate(weight, dw)
-            _accumulate(x, dx)
-        else:
-            axes = (0,) + trailing
-            _accumulate(weight, np.tensordot(g, x.data, axes=(axes, axes)))
-            _accumulate(x, np.moveaxis(np.tensordot(weight.data, g, axes=([0], [1])), 1, 0))
+        gs = g.reshape(b, d, -1)
+        _accumulate(weight, np.matmul(gs, xs.transpose(0, 2, 1)).sum(axis=0))
+        _accumulate(x, np.matmul(weight.data.T, gs).reshape(x.shape))
         if bias is not None:
-            _accumulate(bias, g.sum(axis=(0,) + trailing))
+            _accumulate(bias, gs.sum(axis=(0, 2)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(y, parents, backward, "channel_linear")
+    return _make(y.reshape((b, d) + x.shape[2:]), parents, backward, "channel_linear")
 
 
 # -- node-wise convolution ------------------------------------------------------
@@ -552,9 +470,8 @@ def cosine_correlate(rep: Tensor, feat: Tensor, eps: float = 1e-8) -> Tensor:
 
     b, c, n = rep.shape
     _, _, m, l = feat.shape
-    dots = np.empty((b, n, m, l), dtype=rep.dtype)
-    for s_ in range(b):
-        dots[s_] = (rep.data[s_].T @ feat.data[s_].reshape(c, m * l)).reshape(n, m, l)
+    feat2 = feat.data.reshape(b, c, m * l)
+    dots = np.matmul(rep.data.transpose(0, 2, 1), feat2).reshape(b, n, m, l)
     rep_norm = np.sqrt(np.einsum("bci,bci->bi", rep.data, rep.data, optimize=False))
     feat_norm = np.sqrt(np.einsum("bcjt,bcjt->bjt", feat.data, feat.data, optimize=False))
     valid = (rep_norm[:, :, None, None] > eps) & (feat_norm[:, None, :, :] > eps)
@@ -563,13 +480,9 @@ def cosine_correlate(rep: Tensor, feat: Tensor, eps: float = 1e-8) -> Tensor:
     s = np.clip(np.where(valid, dots / denom, 0.0), -1.0, 1.0).astype(rep.dtype)
 
     def backward(g):
-        gv = np.where(valid, g / denom, 0.0).astype(rep.dtype)
-        drep = np.empty_like(rep.data)
-        dfeat = np.empty_like(feat.data)
-        for s_ in range(b):
-            gs2 = gv[s_].reshape(n, m * l)
-            drep[s_] = feat.data[s_].reshape(c, m * l) @ gs2.T
-            dfeat[s_] = (rep.data[s_] @ gs2).reshape(c, m, l)
+        gv = np.where(valid, g / denom, 0.0).astype(rep.dtype).reshape(b, n, m * l)
+        drep = np.matmul(feat2, gv.transpose(0, 2, 1))
+        dfeat = np.matmul(rep.data, gv).reshape(b, c, m, l)
         # norm terms: dS/d||rep|| = -S/||rep||, dS/d||feat|| = -S/||feat||
         gs = np.where(valid, g * s, 0.0)
         rep_w = gs.sum(axis=(2, 3)) / np.where(rep_norm > eps, rep_norm**2, 1.0)
@@ -580,15 +493,6 @@ def cosine_correlate(rep: Tensor, feat: Tensor, eps: float = 1e-8) -> Tensor:
         _accumulate(feat, dfeat)
 
     return _make(s, (rep, feat), backward, "cosine_correlate")
-
-
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    """Cosine of two 1-D tensors; 0 when either norm is below eps."""
-    if a.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity: shapes {a.shape} and {b.shape}")
-    c = a.shape[0]
-    s = cosine_correlate(reshape(a, (1, c, 1)), reshape(b, (1, c, 1, 1)), eps=eps)
-    return reshape(s, ())
 
 
 def _edge_operands(opname: str, corr: Tensor, feat: Tensor) -> None:
@@ -656,25 +560,18 @@ def edge_mix(corr: Tensor, feat: Tensor, adj: Tensor) -> Tensor:
     if adj.shape != (b, k, n):
         raise ShapeError(f"edge_mix: adj {adj.shape} vs corr {corr.shape}")
 
-    def weights(s):
-        return (corr.data[s] * adj.data[s][..., None]).reshape(k, n * l)
+    def weights():
+        return (corr.data * adj.data[..., None]).reshape(b, k, n * l)
 
-    y = np.empty((b, c, k), dtype=feat.dtype)
-    for s in range(b):
-        y[s] = feat.data[s].reshape(c, n * l) @ weights(s).T
+    feat2 = feat.data.reshape(b, c, n * l)
+    y = np.matmul(feat2, weights().transpose(0, 2, 1))
 
     def backward(g):
-        dcorr = np.empty_like(corr.data)
-        dfeat = np.empty_like(feat.data)
-        dadj = np.empty_like(adj.data)
-        for s in range(b):
-            dfeat[s] = (g[s] @ weights(s)).reshape(c, n, l)
-            dw = (g[s].T @ feat.data[s].reshape(c, n * l)).reshape(k, n, l)
-            dcorr[s] = dw * adj.data[s][..., None]
-            dadj[s] = np.einsum("kit,kit->ki", dw, corr.data[s])
-        _accumulate(corr, dcorr)
-        _accumulate(feat, dfeat)
-        _accumulate(adj, dadj)
+        _accumulate(feat, np.matmul(g, weights()).reshape(b, c, n, l))
+        dw = np.matmul(g.transpose(0, 2, 1), feat2).reshape(b, k, n, l)
+        _accumulate(adj, np.einsum("bkit,bkit->bki", dw, corr.data))
+        dw *= adj.data[..., None]
+        _accumulate(corr, dw)
 
     return _make(y, (corr, feat, adj), backward, "edge_mix")
 

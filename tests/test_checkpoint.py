@@ -46,3 +46,15 @@ def test_truncated_blob_rejected(tmp_path):
 def test_missing_file_rejected():
     with pytest.raises(ckpt.CheckpointError):
         ckpt.load("/nonexistent/model.ckpt")
+
+
+def test_failed_save_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "best.ckpt"
+    ckpt.save(str(path), sample_params(), {}, epoch=0, val_mae=0.0)
+    before = path.read_bytes()
+    # the second blob cannot be encoded as float32, so the write stops midway
+    bad = {"a": np.ones(4, dtype=np.float32), "b": np.array(["not a number"])}
+    with pytest.raises(ValueError):
+        ckpt.save(str(path), bad, {}, epoch=1, val_mae=0.0)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]

@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from flowcast import gradcheck
-from flowcast.cli import main
+from flowcast.cli import _write_json, main
 from flowcast.synthetic import sinusoid_dataset
 
 
@@ -110,6 +111,17 @@ class TestTrain:
         assert "test_mae_mean" in metrics and "test_mae_std" in metrics
         assert (tmp_path / "rep" / "best_seed11.ckpt").exists()
         assert (tmp_path / "rep" / "best_seed12.ckpt").exists()
+
+
+def test_failed_json_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    _write_json(str(path), {"rmse": 1.0})
+    before = path.read_bytes()
+    # json.dump streams "rmse" before it reaches the value it cannot encode
+    with pytest.raises(TypeError):
+        _write_json(str(path), {"rmse": 2.0, "bad": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
 
 
 class TestEval:

@@ -39,3 +39,20 @@ def test_broken_op_is_caught():
 def test_relative_error_floors_tiny_denominators():
     assert gradcheck.relative_error(0.0, 0.0) == 0.0
     assert gradcheck.relative_error(1e-9, 0.0) < 1e-2
+
+
+def _ops(loss: T.Tensor) -> set[str]:
+    return {node.op for node in T._topo_order(loss)} - {"leaf"}
+
+
+def test_registry_covers_exactly_the_ops_the_model_calls():
+    rng = np.random.default_rng(0)
+    called = set()
+    for suffix, overrides in gradcheck.MODEL_VARIANTS:
+        _, forward = gradcheck.full_model_case(suffix=suffix, **overrides).build(rng)
+        called |= _ops(forward())
+    registered = set()
+    for case in gradcheck.default_registry():
+        _, forward = case.build(rng)
+        registered |= _ops(forward())
+    assert registered == called

@@ -65,7 +65,7 @@ class TestCorrelations:
         f4 = rand_f4(rng)
         f_c = eg.reduce_channels(f4)
         f_l = G.representative(f_c, "last")
-        s = G.correlate(f_l, f_c)
+        s = T.cosine_correlate(f_l, f_c)
         l = f_c.shape[-1]
         diag = s.data[:, np.arange(5), np.arange(5), l - 1]
         assert np.allclose(diag, 1.0, atol=1e-5)
@@ -74,7 +74,7 @@ class TestCorrelations:
         eg, _ = build_edge_graph()
         f4 = rand_f4(np.random.default_rng(3))
         f_c = eg.reduce_channels(f4)
-        s = G.correlate(G.representative(f_c, "last"), f_c)
+        s = T.cosine_correlate(G.representative(f_c, "last"), f_c)
         assert s.data.min() >= -1.0 and s.data.max() <= 1.0
 
     def test_orthogonal_nodes_uncorrelated(self):
@@ -83,7 +83,7 @@ class TestCorrelations:
         f_c[0, 0, 0] = 1.0   # node 0 lives on channel 0
         f_c[0, 1, 1] = 1.0   # node 1 lives on channel 1
         rep = T.Tensor(f_c[..., -1])
-        s = G.correlate(rep, T.Tensor(f_c))
+        s = T.cosine_correlate(rep, T.Tensor(f_c))
         assert np.allclose(s.data[0, 0, 1], 0.0)
         assert np.allclose(s.data[0, 1, 0], 0.0)
 

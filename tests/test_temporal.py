@@ -3,7 +3,7 @@ import numpy as np
 import flowcast.tensor as T
 from flowcast.config import ModelConfig
 from flowcast.model import Forecaster
-from flowcast.temporal import TemporalEncoder, WBlock, gnc_forward, receptive_fields, stage_time_lengths
+from flowcast.temporal import TemporalEncoder, WBlock, receptive_fields, stage_time_lengths
 
 
 def encoder(cfg, seed=0):
@@ -34,7 +34,7 @@ class TestGatedBlock:
         block.gate_w.data[:] = 0
         block.beta.data[:] = 2.5
         x = T.Tensor(np.zeros((1, 1, 3, 12), dtype=np.float32))
-        out = gnc_forward(x, block)
+        out = block.forward(x)
         assert np.allclose(out.data, 2.5)
 
     def test_large_negative_gate_bias_closes_gate(self):
@@ -42,7 +42,7 @@ class TestGatedBlock:
         block = WBlock("b", 1, 4, 1, np.random.default_rng(0), store)
         block.gate_b.data[:] = -30.0
         x = T.Tensor(np.random.default_rng(1).normal(size=(1, 1, 3, 12)).astype(np.float32))
-        out = gnc_forward(x, block)
+        out = block.forward(x)
         # gated product collapses to ~0; layer norm then leaves only beta (= 0)
         assert np.allclose(out.data, block.beta.data.reshape(1, 4, 1, 1), atol=1e-4)
 
