@@ -53,7 +53,7 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _write_train_log(path: str, result) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with ckpt.write_atomic(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "train_huber", "train_contrast",
                          "val_rmse", "val_mae", "val_mape"])
@@ -178,7 +178,8 @@ def cmd_predict(args) -> int:
     out_dir = args.out or cfg.output.dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"forecast_w{args.window_index}.csv")
-    np.savetxt(path, pred, delimiter=",", fmt="%.6f")
+    with ckpt.write_atomic(path) as fh:
+        np.savetxt(fh, pred, delimiter=",", fmt="%.6f")
     print(path)
     return EXIT_OK
 
@@ -196,7 +197,8 @@ def cmd_export_aam(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     name = f"aam{'_reversed' if args.reversed else ''}_w{args.window_index}.csv"
     path = os.path.join(out_dir, name)
-    np.savetxt(path, matrix, delimiter=",", fmt="%.8f")
+    with ckpt.write_atomic(path) as fh:
+        np.savetxt(fh, matrix, delimiter=",", fmt="%.8f")
     print(path)
     return EXIT_OK
 
@@ -257,7 +259,8 @@ def cmd_ablate(args) -> int:
 
     out_dir = cfg.output.dir
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "ablation.csv"), "w", newline="", encoding="utf-8") as fh:
+    with ckpt.write_atomic(os.path.join(out_dir, "ablation.csv"), "w", newline="",
+                           encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)

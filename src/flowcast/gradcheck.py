@@ -129,19 +129,6 @@ def _unary_case(name: str, fn, away_from_zero=False) -> OpCase:
     return OpCase(name, build)
 
 
-def _case_conv_nodewise(stride: int) -> OpCase:
-    def build(rng):
-        x = _leaf(rng, (2, 3, 4, 12))
-        k = _leaf(rng, (5, 3, 1, 3))
-        b = _leaf(rng, (5,))
-        t_out = T.conv_time_length(12, stride)
-        w = _projection(rng, (2, 5, 4, t_out))
-        return ({"x": x, "kernel": k, "bias": b},
-                lambda: _project(T.conv_nodewise(x, k, b, stride), w))
-
-    return OpCase(f"conv_nodewise_s{stride}", build)
-
-
 def _case_channel_linear() -> OpCase:
     def build(rng):
         x = _leaf(rng, (2, 6, 4, 3))
@@ -221,7 +208,7 @@ def _case_huber() -> OpCase:
 
 
 def default_registry() -> list[OpCase]:
-    """Every differentiable op the model calls; conv_nodewise once per stride."""
+    """Every differentiable op the model calls; time_columns once per stride."""
     return [
         _binary_case("add", T.add),
         _binary_case("mul", T.mul),
@@ -234,8 +221,8 @@ def default_registry() -> list[OpCase]:
         _unary_case("take_time", lambda x: T.take_time(x, 2)),
         _unary_case("reshape", lambda x: T.reshape(x, (3, 1, 4, 10))),
         _case_channel_linear(),
-        _case_conv_nodewise(stride=1),
-        _case_conv_nodewise(stride=2),
+        _unary_case("time_columns_s1", lambda x: T.time_columns(x, 1)),
+        _unary_case("time_columns_s2", lambda x: T.time_columns(x, 2)),
         _case_layer_norm(),
         _case_cosine_correlate(),
         _case_edge_max(),

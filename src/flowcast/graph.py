@@ -56,23 +56,6 @@ def representative(f_c: T.Tensor, position: str) -> T.Tensor:
     return T.take_time(f_c, REP_INDEX[position](l))
 
 
-def relational_features(s: T.Tensor, f4: T.Tensor) -> T.Tensor:
-    """R [b, c, n_src, n_tgt] with R[b, c, i, k] = sum_t s[b, k, i, t] f4[b, c, i, t].
-
-    The forward pass never forms R; this numpy recomputation, one sample at a
-    time so that it is batch invariant, is for tests and inspection and
-    records no gradient.
-    """
-    T._edge_operands("relational_features", s, f4)
-    b, c, n, _ = f4.shape
-    r = np.empty((b, c, n, s.shape[1]), dtype=f4.dtype)
-    for sample in range(b):
-        # per source node i: f4[:, i, :] [c, l] @ s[:, i, :].T [l, k]
-        r[sample] = np.matmul(f4.data[sample].transpose(1, 0, 2),
-                              s.data[sample].transpose(1, 2, 0)).transpose(1, 0, 2)
-    return T.Tensor(r)
-
-
 def squeeze_base(s: T.Tensor, f4: T.Tensor, op: str, affine_w: T.Tensor | None = None,
                  affine_b: T.Tensor | None = None) -> T.Tensor:
     """Channel-squeeze R into tanh pre-edges, oriented [b, target, source]."""
@@ -112,11 +95,6 @@ class EdgeState:
     adj_reversed: T.Tensor
     f_g: T.Tensor        # [b, c, n]
     f_gr: T.Tensor | None  # None when the forward recorded no gradient
-
-    @property
-    def rel(self) -> T.Tensor:
-        """Relational features [b, c, n_src, n_tgt], recomputed on each read."""
-        return relational_features(self.s, self.f4)
 
 
 class EdgeGraph:

@@ -2,10 +2,13 @@
 
 Four stages of blocks, each block a pair of 1x3 temporal convolutions
 (embedding path through tanh, gate path through sigmoid) multiplied
-elementwise and layer-normalized over channels. The kernel never spans the
-node axis, so every region's series is encoded independently; strides of
-(1, 2, 2, 2) at the first block of each stage halve the time extent and
-widen the receptive field stage by stage.
+elementwise and layer-normalized over channels. A block builds the
+zero-padded taps of its input once, as im2col columns (``time_columns``),
+and both paths map those columns through ``channel_linear`` with their
+flattened kernels. The kernel never spans the node axis, so every region's
+series is encoded independently; strides of (1, 2, 2, 2) at the first block
+of each stage halve the time extent and widen the receptive field stage by
+stage.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ class WBlock:
         self.beta = store[f"{name}.norm.beta"] = P.zeros((c_out,), dtype)
 
     def forward(self, x: T.Tensor) -> T.Tensor:
-        embed = T.tanh(T.conv_nodewise(x, self.embed_w, self.embed_b, self.stride))
-        gate = T.sigmoid(T.conv_nodewise(x, self.gate_w, self.gate_b, self.stride))
+        cols = T.time_columns(x, self.stride)
+        c_out = self.embed_w.shape[0]
+        embed = T.tanh(T.channel_linear(cols, T.reshape(self.embed_w, (c_out, -1)), self.embed_b))
+        gate = T.sigmoid(T.channel_linear(cols, T.reshape(self.gate_w, (c_out, -1)), self.gate_b))
         return T.layer_norm(T.mul(gate, embed), self.gamma, self.beta, eps=self.norm_eps)
 
 

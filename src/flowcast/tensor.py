@@ -10,17 +10,16 @@ a backward closure on the output. ``Tensor.backward()`` walks the graph in
 reverse topological order exactly once, releasing each intermediate node as
 soon as its closure has run, so a graph cannot be differentiated twice.
 
-Operations fall in two performance classes:
+Every contraction runs one BLAS GEMM per sample, so each sample's result
+is bitwise the same whether or not it is part of a larger batch:
 
-* the channel and edge contractions (``channel_linear``,
-  ``cosine_correlate``, ``edge_mix``) are ``np.matmul`` over a [b, ., .]
-  stack, which numpy runs as one BLAS GEMM per sample, so per-sample
-  results are bitwise identical whether or not the sample is part of a
-  larger batch;
-* ``conv_nodewise`` fuses the batch into one ``np.tensordot`` per kernel
-  tap for speed, and ``edge_max`` loops over samples so that it holds the
-  b x c x n x n relational tensor one sample at a time. ``edge_mix`` never
-  forms that tensor: it contracts it away by associativity.
+* ``channel_linear``, ``cosine_correlate`` and ``edge_mix`` are one
+  ``np.matmul`` over a [b, ., .] stack. The temporal convolutions are
+  ``channel_linear`` over ``time_columns``, which stacks the 1x3 taps as
+  channels (im2col), so they need no kernel of their own;
+* ``edge_max`` loops over samples so that it holds the b x c x n x n
+  relational tensor one sample at a time. ``edge_mix`` never forms that
+  tensor: it contracts it away by associativity.
 """
 
 from __future__ import annotations
@@ -97,9 +96,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return self.data.item()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self.op})"
 
@@ -108,29 +104,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False, op="detach")
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_over_axis(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     # -- reverse mode -------------------------------------------------------
 
@@ -173,12 +146,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order
-
-
-def _as_tensor(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 def _finite_check(arr: np.ndarray, opname: str) -> None:
@@ -362,7 +329,7 @@ def channel_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
     return _make(y.reshape((b, d) + x.shape[2:]), parents, backward, "channel_linear")
 
 
-# -- node-wise convolution ------------------------------------------------------
+# -- temporal im2col -------------------------------------------------------------
 
 KERNEL_T = 3
 PAD_T = 1
@@ -372,50 +339,39 @@ def conv_time_length(t: int, stride: int, pad: int = PAD_T, kernel: int = KERNEL
     return (t + 2 * pad - kernel) // stride + 1
 
 
-def conv_nodewise(x: Tensor, kernel: Tensor, bias: Tensor, stride: int) -> Tensor:
-    """1x3 temporal convolution, zero-padded by one step, no node mixing.
+def time_columns(x: Tensor, stride: int) -> Tensor:
+    """The 1x3 temporal taps of x stacked as channels (im2col over time).
 
-    x [b, c_in, n, t], kernel [c_out, c_in, 1, 3], bias [c_out]
-    -> [b, c_out, n, (t + 2 - 3)//stride + 1].
+    x [b, c, n, t] -> [b, c*3, n, t_out], t_out = conv_time_length(t, stride),
+    with out[:, 3*j + k, :, u] = xp[:, j, :, stride*u + k] where xp is x
+    zero-padded by one step at each end: channel-major, then tap. That is
+    the row-major flatten of a [c_out, c, 1, 3] kernel, so the node-wise
+    convolution is channel_linear(time_columns(x, s), reshape(w, (c_out, -1)),
+    bias). The taps never span the node axis.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"conv_nodewise input must be 4-axis, got {x.shape}")
-    if kernel.data.ndim != 4 or kernel.shape[2] != 1 or kernel.shape[3] != KERNEL_T:
-        raise ShapeError(f"conv_nodewise kernel must be [c_out, c_in, 1, {KERNEL_T}], got {kernel.shape}")
-    if kernel.shape[1] != x.shape[1]:
-        raise ShapeError(f"conv_nodewise: input channels {x.shape} vs kernel {kernel.shape}")
-    if bias.shape != (kernel.shape[0],):
-        raise ShapeError(f"conv_nodewise: bias {bias.shape} vs kernel {kernel.shape}")
+        raise ShapeError(f"time_columns input must be 4-axis, got {x.shape}")
     if stride not in (1, 2):
-        raise ValueError(f"conv_nodewise stride must be 1 or 2, got {stride}")
-
-    b, c_in, n, t = x.shape
-    c_out = kernel.shape[0]
+        raise ValueError(f"time_columns stride must be 1 or 2, got {stride}")
+    b, c, n, t = x.shape
     t_out = conv_time_length(t, stride)
     if t_out < 1:
-        raise ShapeError(f"conv_nodewise: time extent {t} collapses under stride {stride}")
+        raise ShapeError(f"time_columns: time extent {t} collapses under stride {stride}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (PAD_T, PAD_T)))
     span = stride * (t_out - 1) + 1
-    taps = [xp[..., k:k + span:stride] for k in range(KERNEL_T)]
-
-    y = np.zeros((b, c_out, n, t_out), dtype=x.dtype)
-    for k, tap in enumerate(taps):
-        y += np.moveaxis(np.tensordot(kernel.data[:, :, 0, k], tap, axes=([1], [1])), 1, 0)
-    y += bias.data.reshape(1, c_out, 1, 1)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (PAD_T, PAD_T)))
+    cols = np.empty((b, c, KERNEL_T, n, t_out), dtype=x.dtype)
+    for k in range(KERNEL_T):
+        cols[:, :, k] = xp[..., k:k + span:stride]
 
     def backward(g):
-        dker = np.zeros_like(kernel.data)
-        dxp = np.zeros_like(xp)
-        for k, tap in enumerate(taps):
-            dker[:, :, 0, k] = np.tensordot(g, tap, axes=([0, 2, 3], [0, 2, 3]))
-            dxp[..., k:k + span:stride] += np.moveaxis(
-                np.tensordot(kernel.data[:, :, 0, k], g, axes=([0], [1])), 1, 0)
-        _accumulate(kernel, dker)
-        _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        g = g.reshape(b, c, KERNEL_T, n, t_out)
+        dxp = np.zeros((b, c, n, t + 2 * PAD_T), dtype=x.dtype)
+        for k in range(KERNEL_T):
+            dxp[..., k:k + span:stride] += g[:, :, k]
         _accumulate(x, dxp[..., PAD_T:PAD_T + t])
 
-    return _make(y, (x, kernel, bias), backward, "conv_nodewise")
+    return _make(cols.reshape(b, c * KERNEL_T, n, t_out), (x,), backward, "time_columns")
 
 
 # -- normalization --------------------------------------------------------------

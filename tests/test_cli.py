@@ -1,10 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from flowcast import gradcheck
-from flowcast.cli import _write_json, main
+from flowcast.cli import _write_json, _write_train_log, main
 from flowcast.synthetic import sinusoid_dataset
 
 
@@ -124,6 +125,20 @@ def test_failed_json_write_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
 
 
+def test_failed_csv_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "train_log.csv"
+    row = dict(epoch=1, lr=1e-3, train_huber=0.5, train_contrast=0.1,
+               val_rmse=1.0, val_mae=0.8, val_mape=0.2)
+    _write_train_log(str(path), SimpleNamespace(epochs=[SimpleNamespace(**row)]))
+    before = path.read_bytes()
+    # the header and first row are written before the second epoch fails
+    broken = SimpleNamespace(epochs=[SimpleNamespace(**row), SimpleNamespace(epoch=2)])
+    with pytest.raises(AttributeError):
+        _write_train_log(str(path), broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["train_log.csv"]
+
+
 class TestEval:
     def test_reproduces_training_test_metrics_exactly(self, cli_workspace, tmp_path):
         rc = main(["eval", str(cli_workspace / "out" / "best.ckpt"),
@@ -225,7 +240,7 @@ class TestGradcheckCommand:
 
         def build(rng):
             x = T.Tensor(rng.normal(size=(3,)), requires_grad=True, dtype=np.float64)
-            return {"x": x}, lambda: broken(x).sum()
+            return {"x": x}, lambda: T.sum_over_axis(broken(x))
 
         monkeypatch.setattr(gradcheck, "default_registry",
                             lambda: [gradcheck.OpCase("broken", build)])

@@ -188,6 +188,15 @@ class TestNoGradForward:
         assert np.array_equal(plain_state.adjacency(0).adj_reversed,
                               state.adjacency(0).adj_reversed)
 
+    def test_forecast_is_batch_invariant_bitwise(self):
+        # every contraction is one GEMM per sample, so a sample's forecast
+        # does not depend on the batch it rides in
+        model, x = model_and_input(cfg=ModelConfig(), b=4, n=10)
+        with T.no_grad():
+            batched, _ = model.forward(x)
+            alone, _ = model.forward(T.Tensor(x.data[:1]))
+        assert np.array_equal(batched.data[0], alone.data[0])
+
 
 class TestEquivariance:
     def test_full_model_node_permutation(self):

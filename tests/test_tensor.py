@@ -12,13 +12,13 @@ def t64(data, requires_grad=False):
 
 class TestElementwise:
     def test_tanh_zero(self):
-        assert T.tanh(t64([0.0])).item() == 0.0
+        assert T.tanh(t64([0.0])).data.item() == 0.0
 
     def test_sigmoid_zero(self):
-        assert T.sigmoid(t64([0.0])).item() == 0.5
+        assert T.sigmoid(t64([0.0])).data.item() == 0.5
 
     def test_relu_negative(self):
-        assert T.relu(t64([-3.0])).item() == 0.0
+        assert T.relu(t64([-3.0])).data.item() == 0.0
 
     def test_sigmoid_saturates_without_overflow(self):
         out = T.sigmoid(t64([-500.0, 500.0]))
@@ -36,7 +36,12 @@ class TestElementwise:
 
     def test_scalar_reduction_keeps_dtype(self):
         a = T.Tensor(np.ones((3,), dtype=np.float64))
-        assert T.mul(a.sum(), a.sum()).dtype == np.float64
+        assert T.mul(T.sum_over_axis(a), T.sum_over_axis(a)).dtype == np.float64
+
+
+def conv(x, kernel, bias, stride):
+    """The encoder's 1x3 node-wise convolution, kernel [c_out, c_in, 1, 3]."""
+    return T.channel_linear(T.time_columns(x, stride), T.reshape(kernel, (kernel.shape[0], -1)), bias)
 
 
 class TestConvLengths:
@@ -49,27 +54,45 @@ class TestConvLengths:
         x = T.Tensor(rng.normal(size=(2, 3, 4, 12)).astype(np.float32))
         k = T.Tensor(rng.normal(size=(5, 3, 1, 3)).astype(np.float32))
         b = T.Tensor(np.zeros(5, dtype=np.float32))
-        assert T.conv_nodewise(x, k, b, stride=2).shape == (2, 5, 4, 6)
+        assert conv(x, k, b, stride=2).shape == (2, 5, 4, 6)
 
     def test_conv_rejects_bad_kernel(self):
         x = T.Tensor(np.zeros((1, 2, 3, 12), dtype=np.float32))
         k = T.Tensor(np.zeros((4, 2, 1, 5), dtype=np.float32))
         b = T.Tensor(np.zeros(4, dtype=np.float32))
         with pytest.raises(T.ShapeError):
-            T.conv_nodewise(x, k, b, stride=1)
+            conv(x, k, b, stride=1)
 
     def test_conv_node_independence_is_bitwise(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 5, 12)).astype(np.float32)
         k = T.Tensor(rng.normal(size=(4, 3, 1, 3)).astype(np.float32))
         b = T.Tensor(rng.normal(size=4).astype(np.float32))
-        base = T.conv_nodewise(T.Tensor(x), k, b, stride=1).data
+        base = conv(T.Tensor(x), k, b, stride=1).data
         bumped = x.copy()
         bumped[:, :, 2, :] += 7.5
-        out = T.conv_nodewise(T.Tensor(bumped), k, b, stride=1).data
+        out = conv(T.Tensor(bumped), k, b, stride=1).data
         others = [j for j in range(5) if j != 2]
         assert np.array_equal(base[:, :, others, :], out[:, :, others, :])
         assert not np.array_equal(base[:, :, 2, :], out[:, :, 2, :])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_matches_zero_padded_reference(self, stride):
+        # a wrong column order (tap-major, or taps reversed) fails this
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 3, 4, 9))
+        k = rng.normal(size=(5, 3, 1, 3))
+        b = rng.normal(size=5)
+        xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (1, 1)))
+        t_out = T.conv_time_length(9, stride)
+        want = np.empty((2, 5, 4, t_out))
+        for u in range(t_out):
+            window = xp[..., stride * u:stride * u + 3]          # [b, c_in, n, 3]
+            want[..., u] = np.einsum("oik,bink->bon", k[:, :, 0], window) + b[:, None]
+        got = conv(T.Tensor(x.astype(np.float32)), T.Tensor(k.astype(np.float32)),
+                   T.Tensor(b.astype(np.float32)), stride).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 class TestLayerNorm:
@@ -93,7 +116,7 @@ class TestLayerNorm:
 def cosine(a, b) -> float:
     """cosine_correlate of one representative against one feature vector."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return T.cosine_correlate(t64(a.reshape(1, -1, 1)), t64(b.reshape(1, -1, 1, 1))).item()
+    return T.cosine_correlate(t64(a.reshape(1, -1, 1)), t64(b.reshape(1, -1, 1, 1))).data.item()
 
 
 class TestCosine:
@@ -141,7 +164,7 @@ class TestLinAlg:
 
     def test_max_tie_routes_to_lowest_index(self):
         x = t64(np.array([[[[2.0]], [[2.0]], [[1.0]]]]), requires_grad=True)  # [1, 3, 1, 1]
-        out = T.edge_max(t64(np.ones((1, 1, 1, 1))), x).sum()
+        out = T.sum_over_axis(T.edge_max(t64(np.ones((1, 1, 1, 1))), x))
         out.backward()
         assert np.array_equal(x.grad.ravel(), [1.0, 0.0, 0.0])
 
@@ -171,12 +194,12 @@ class TestLinAlg:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t64(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
-        x.sum().backward()
+        T.sum_over_axis(x).backward()
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_square_sum_gradient(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        T.mul(x, x).sum().backward()
+        T.sum_over_axis(T.mul(x, x)).backward()
         assert np.allclose(x.grad, [2.0, 4.0])
 
     def test_backward_requires_scalar(self):
@@ -191,7 +214,7 @@ class TestBackward:
 
     def test_double_backward_raises(self):
         x = t64([2.0], requires_grad=True)
-        loss = T.mul(x, x).sum()
+        loss = T.sum_over_axis(T.mul(x, x))
         loss.backward()
         with pytest.raises(T.DetachedTensorError):
             loss.backward()
@@ -206,7 +229,7 @@ class TestBackward:
         x = t64([1.5, -0.5], requires_grad=True)
         mid = T.tanh(x)
         prod = T.mul(mid, mid)
-        loss = prod.sum()
+        loss = T.sum_over_axis(prod)
         seen = []
         fn = mid._backward_fn
 
@@ -223,7 +246,7 @@ class TestBackward:
 
     def test_grad_accumulates_across_uses(self):
         x = t64([3.0], requires_grad=True)
-        T.add(T.mul(x, x), x).sum().backward()
+        T.sum_over_axis(T.add(T.mul(x, x), x)).backward()
         assert np.allclose(x.grad, [7.0])  # 2x + 1
 
 
@@ -245,7 +268,7 @@ class TestDeterminism:
             x = T.Tensor(rng.normal(size=(2, 3, 4, 12)).astype(np.float32))
             k = T.Tensor(rng.normal(size=(5, 3, 1, 3)).astype(np.float32))
             b = T.Tensor(rng.normal(size=5).astype(np.float32))
-            return T.layer_norm(T.tanh(T.conv_nodewise(x, k, b, stride=2)),
+            return T.layer_norm(T.tanh(conv(x, k, b, stride=2)),
                                 T.Tensor(np.ones(5, dtype=np.float32)),
                                 T.Tensor(np.zeros(5, dtype=np.float32))).data
 
