@@ -16,6 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 MAGIC = b"ESGCNCP1"
+HEADER_KEYS = {"config", "epoch", "val_mae", "param_shapes"}
 
 
 class CheckpointError(RuntimeError):
@@ -26,9 +27,10 @@ class CheckpointError(RuntimeError):
 def write_atomic(path: str, mode: str = "wb", **open_kwargs):
     """Open a temp file beside path; it replaces path only if the block completes.
 
-    A write that fails midway leaves any earlier file at path untouched and
-    removes the temp file.
+    Missing parent directories are created. A write that fails midway leaves
+    any earlier file at path untouched and removes the temp file.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **open_kwargs) as fh:
@@ -73,9 +75,13 @@ def load(path: str) -> tuple[dict[str, np.ndarray], dict]:
     offset = 12 + hlen
     try:
         header = json.loads(blob[12:offset].decode("utf-8"))
-        shapes = header["param_shapes"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: bad header ({exc})") from None
+    if not (isinstance(header, dict) and HEADER_KEYS <= header.keys()
+            and isinstance(header["param_shapes"], dict)):
+        raise CheckpointError(f"corrupt checkpoint {path}: header must be an object with "
+                              f"{', '.join(sorted(HEADER_KEYS))}, param_shapes an object")
+    shapes = header["param_shapes"]
 
     params: dict[str, np.ndarray] = {}
     try:
@@ -89,7 +95,8 @@ def load(path: str) -> tuple[dict[str, np.ndarray], dict]:
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
             offset += 4 * count
             params[name] = arr.reshape(shapes[name]).astype(np.float32)
-    except (struct.error, KeyError, ValueError) as exc:
+    # TypeError: a shape in the header that is not an int or a list of ints
+    except (struct.error, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: bad parameter blob ({exc})") from None
     if set(params) != set(shapes):
         raise CheckpointError(f"corrupt checkpoint {path}: parameter list does not match header")

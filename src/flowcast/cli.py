@@ -45,14 +45,12 @@ def _prepare_from_config(cfg: C.RunConfig) -> PreparedData:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with ckpt.write_atomic(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def _write_train_log(path: str, result) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with ckpt.write_atomic(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "train_huber", "train_contrast",
@@ -62,40 +60,47 @@ def _write_train_log(path: str, result) -> None:
                              repr(e.val_rmse), repr(e.val_mae), repr(e.val_mape)])
 
 
-def _run_one_training(cfg: C.RunConfig, prep: PreparedData, seed: int):
-    model = Forecaster(cfg.model, seed=seed)
-    result = train(model, prep, dataclasses.replace(cfg.train, seed=seed))
-    model.load_state_arrays(result.best_state)
-    test = evaluate(model, prep, "test", cfg.train.batch_size)
-    return model, result, test
+def _write_csv(out_dir: str, name: str, matrix: np.ndarray, fmt: str) -> str:
+    path = os.path.join(out_dir, name)
+    with ckpt.write_atomic(path) as fh:
+        np.savetxt(fh, matrix, delimiter=",", fmt=fmt)
+    return path
 
 
-def cmd_train(args) -> int:
-    if args.repeat < 1:
-        raise C.ConfigError(f"--repeat must be >= 1, got {args.repeat}")
+def _load_run_config(args) -> C.RunConfig:
+    """The --config file with the --seed and --out overrides applied."""
     cfg = C.load(args.config)
     if args.seed is not None:
         cfg.train.seed = args.seed
     if args.out is not None:
         cfg.output.dir = args.out
+    return cfg
+
+
+def _run_one_training(cfg: C.RunConfig, prep: PreparedData):
+    model = Forecaster(cfg.model, seed=cfg.train.seed)
+    result = train(model, prep, cfg.train)
+    model.load_state_arrays(result.best_state)
+    return result, evaluate(model, prep, "test", cfg.train.batch_size)
+
+
+def cmd_train(args) -> int:
+    if args.repeat < 1:
+        raise C.ConfigError(f"--repeat must be >= 1, got {args.repeat}")
+    cfg = _load_run_config(args)
     out_dir = cfg.output.dir
     os.makedirs(out_dir, exist_ok=True)
     prep = _prepare_from_config(cfg)
 
-    seeds = [cfg.train.seed + r for r in range(args.repeat)]
     runs = []
     diverged = False
-    parameter_count = 0
-    for seed in seeds:
-        model, result, test = _run_one_training(cfg, prep, seed)
+    for seed in range(cfg.train.seed, cfg.train.seed + args.repeat):
+        seed_cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=seed))
+        result, test = _run_one_training(seed_cfg, prep)
         diverged |= result.diverged
-        parameter_count = result.parameter_count
         suffix = "" if args.repeat == 1 else f"_seed{seed}"
-        header_cfg = C.to_dict(cfg)
-        header_cfg["train"]["seed"] = seed
-        ckpt.save(os.path.join(out_dir, f"best{suffix}.ckpt"),
-                  {k: v for k, v in result.best_state.items()},
-                  {"run": header_cfg, "num_nodes": prep.num_nodes,
+        ckpt.save(os.path.join(out_dir, f"best{suffix}.ckpt"), result.best_state,
+                  {"run": C.to_dict(seed_cfg), "num_nodes": prep.num_nodes,
                    "parameter_count": result.parameter_count},
                   result.best_epoch, result.best_val_mae)
         _write_train_log(os.path.join(out_dir, f"train_log{suffix}.csv"), result)
@@ -107,7 +112,7 @@ def cmd_train(args) -> int:
 
     doc = {
         "runs": runs,
-        "parameter_count": parameter_count,
+        "parameter_count": result.parameter_count,   # the same for every seed
         "persistence": {"val": persistence_metrics(prep, "val").as_dict(),
                         "test": persistence_metrics(prep, "test").as_dict()},
         "timestamp": datetime.datetime.now().isoformat(),
@@ -133,8 +138,11 @@ def _load_model_for(args) -> tuple[Forecaster, C.RunConfig, PreparedData, dict]:
     try:
         cfg = C.from_dict(header["config"]["run"])
         trained_nodes = int(header["config"]["num_nodes"])
-    except (KeyError, TypeError) as exc:
-        raise ckpt.CheckpointError(f"checkpoint header incomplete: {exc}") from None
+        model = Forecaster(cfg.model, seed=cfg.train.seed)
+        model.load_state_arrays(params)
+    except (KeyError, TypeError, ValueError) as exc:   # ValueError covers ConfigError
+        raise ckpt.CheckpointError(f"corrupt checkpoint {args.checkpoint}: "
+                                   f"bad config echo ({exc})") from None
     if args.data is not None:
         cfg.data.path = args.data
     if getattr(args, "format", None):
@@ -143,8 +151,6 @@ def _load_model_for(args) -> tuple[Forecaster, C.RunConfig, PreparedData, dict]:
     if prep.num_nodes != trained_nodes:
         raise DataError(f"checkpoint was trained on {trained_nodes} nodes, "
                         f"data has {prep.num_nodes}")
-    model = Forecaster(cfg.model, seed=cfg.train.seed)
-    model.load_state_arrays(params)
     return model, cfg, prep, header
 
 
@@ -175,12 +181,8 @@ def cmd_predict(args) -> int:
     with T.no_grad():
         yhat, _ = model.forward(T.Tensor(batch.inputs))
     pred = prep.stats.invert(yhat.data[0])          # [h, n]
-    out_dir = args.out or cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"forecast_w{args.window_index}.csv")
-    with ckpt.write_atomic(path) as fh:
-        np.savetxt(fh, pred, delimiter=",", fmt="%.6f")
-    print(path)
+    print(_write_csv(args.out or cfg.output.dir, f"forecast_w{args.window_index}.csv",
+                     pred, "%.6f"))
     return EXIT_OK
 
 
@@ -193,13 +195,8 @@ def cmd_export_aam(args) -> int:
         _, state = model.forward(T.Tensor(batch.inputs))
     pair = state.adjacency(0)
     matrix = pair.adj_reversed if args.reversed else pair.adj
-    out_dir = args.out or cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
     name = f"aam{'_reversed' if args.reversed else ''}_w{args.window_index}.csv"
-    path = os.path.join(out_dir, name)
-    with ckpt.write_atomic(path) as fh:
-        np.savetxt(fh, matrix, delimiter=",", fmt="%.8f")
-    print(path)
+    print(_write_csv(args.out or cfg.output.dir, name, matrix, "%.8f"))
     return EXIT_OK
 
 
@@ -239,11 +236,7 @@ def cmd_ablate(args) -> int:
     if args.preset not in ABLATION_PRESETS:
         raise C.ConfigError(f"unknown ablation preset {args.preset!r}; "
                             f"available: {', '.join(ABLATION_PRESETS)}")
-    cfg = C.load(args.config)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
-    if args.out is not None:
-        cfg.output.dir = args.out
+    cfg = _load_run_config(args)
     prep = _prepare_from_config(cfg)
 
     rows = []
@@ -251,14 +244,13 @@ def cmd_ablate(args) -> int:
         doc = C.to_dict(cfg)
         doc["model"].update(overrides)
         case_cfg = C.from_dict(doc)
-        _, result, test = _run_one_training(case_cfg, prep, case_cfg.train.seed)
+        result, test = _run_one_training(case_cfg, prep)
         rows.append({"case": name, **test.as_dict(),
                      "best_val_mae": result.best_val_mae, "diverged": result.diverged})
         logger.info("ablation %s: rmse %.4f mae %.4f mape %.4f",
                     name, test.rmse, test.mae, test.mape)
 
     out_dir = cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
     with ckpt.write_atomic(os.path.join(out_dir, "ablation.csv"), "w", newline="",
                            encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

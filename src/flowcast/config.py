@@ -1,15 +1,19 @@
 """Run configuration: dataclasses plus a strict JSON schema.
 
-The JSON document has four sections (data, model, train, output). Unknown
-keys are rejected with their full key path so typos never silently fall
-back to defaults. ``dump_defaults()`` emits every accepted key with its
-default value; feeding that document back reproduces identical behavior.
+The dataclass fields are the schema: four sections (data, model, train,
+output), one key per field in field order, and ``"lambda"`` the only rename.
+Unknown keys are rejected with their full key path so typos never silently
+fall back to defaults, and each value must have its default's type.
+``dump_defaults()`` emits every accepted key with its default value; feeding
+that document back reproduces identical behavior.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 
 class ConfigError(ValueError):
@@ -33,10 +37,11 @@ class ModelConfig:
     representative: str = "last"     # last | middle | first
     contrast_weight: float = 0.1     # JSON key: "lambda"
     use_es: bool = True
-    blocks_per_stage: tuple[int, int, int, int] = (1, 2, 2, 2)
-    strides: tuple[int, int, int, int] = (1, 2, 2, 2)
-    norm_eps: float = 1e-5
-    cosine_eps: float = 1e-8
+    # fixed by the architecture: readable on an instance, never configured
+    blocks_per_stage: ClassVar[tuple[int, int, int, int]] = (1, 2, 2, 2)
+    strides: ClassVar[tuple[int, int, int, int]] = (1, 2, 2, 2)
+    norm_eps: ClassVar[float] = 1e-5
+    cosine_eps: ClassVar[float] = 1e-8
 
 
 @dataclass
@@ -68,83 +73,69 @@ ATTENTION_OPS = ("max", "avg", "max_learned")
 REPRESENTATIVES = ("last", "middle", "first")
 DATA_FORMATS = ("csv", "bin")
 
-# JSON key -> (dataclass field, parser). "lambda" keeps its wire name even
-# though the Python field cannot share it.
-_MODEL_KEYS = {
-    "channels": "channels",
-    "head_hidden": "head_hidden",
-    "horizon": "horizon",
-    "t_in": "t_in",
-    "attention_op": "attention_op",
-    "representative": "representative",
-    "lambda": "contrast_weight",
-    "use_es": "use_es",
-}
-_DATA_KEYS = {"path": "path", "format": "format", "zeros_as_missing": "zeros_as_missing"}
-_TRAIN_KEYS = {k: k for k in ("epochs", "lr0", "lr_decay_every", "lr_decay",
-                              "weight_decay", "batch_size", "seed", "clip")}
-_OUTPUT_KEYS = {"dir": "dir"}
+_JSON_KEYS = {"contrast_weight": "lambda"}   # field name -> JSON key, where they differ
 
 
-def _take_section(doc: dict, name: str, keys: dict[str, str]) -> dict:
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"section '{name}' must be an object")
-    unknown = set(section) - set(keys)
-    if unknown:
-        paths = ", ".join(f"{name}.{k}" for k in sorted(unknown))
-        raise ConfigError(f"unknown config keys: {paths}")
-    return {keys[k]: v for k, v in section.items()}
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+# (type of a field's default, test of a value, what the test wants); first
+# match wins, so bool precedes int, and a None default is an optional number
+_KINDS = (
+    (tuple, lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of ints"),
+    (bool, lambda v: isinstance(v, bool), "true or false"),
+    (int, _is_int, "an int"),
+    (str, lambda v: isinstance(v, str), "a string"),
+    (float, _is_number, "a finite number"),
+    (type(None), lambda v: v is None or _is_number(v), "a finite number or null"),
+)
+
+
+def _typed(path: str, value, default):
+    """``value`` if it has the kind of ``default``, else a ConfigError naming ``path``."""
+    test, kind = next((test, kind) for t, test, kind in _KINDS if isinstance(default, t))
+    if not test(value):
+        raise ConfigError(f"{path} must be {kind}, got {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
 
 
 def from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - {"data", "model", "train", "output"}
+    sections = {f.name: f.default_factory() for f in fields(RunConfig)}
+    unknown = set(doc) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
 
-    cfg = RunConfig()
-    cfg = replace(cfg, data=replace(cfg.data, **_take_section(doc, "data", _DATA_KEYS)))
-    model_kwargs = _take_section(doc, "model", _MODEL_KEYS)
-    if "channels" in model_kwargs:
-        model_kwargs["channels"] = tuple(model_kwargs["channels"])
-    cfg = replace(cfg, model=replace(cfg.model, **model_kwargs))
-    cfg = replace(cfg, train=replace(cfg.train, **_take_section(doc, "train", _TRAIN_KEYS)))
-    cfg = replace(cfg, output=replace(cfg.output, **_take_section(doc, "output", _OUTPUT_KEYS)))
+    for name, defaults in sections.items():
+        section = doc.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"section '{name}' must be an object")
+        by_key = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(defaults)}
+        unknown = set(section) - set(by_key)
+        if unknown:
+            paths = ", ".join(f"{name}.{k}" for k in sorted(unknown))
+            raise ConfigError(f"unknown config keys: {paths}")
+        sections[name] = replace(defaults, **{
+            by_key[k]: _typed(f"{name}.{k}", v, getattr(defaults, by_key[k]))
+            for k, v in section.items()})
+    cfg = RunConfig(**sections)
     validate(cfg)
     return cfg
 
 
 def to_dict(cfg: RunConfig) -> dict:
-    return {
-        "data": {
-            "path": cfg.data.path,
-            "format": cfg.data.format,
-            "zeros_as_missing": cfg.data.zeros_as_missing,
-        },
-        "model": {
-            "channels": list(cfg.model.channels),
-            "head_hidden": cfg.model.head_hidden,
-            "horizon": cfg.model.horizon,
-            "t_in": cfg.model.t_in,
-            "attention_op": cfg.model.attention_op,
-            "representative": cfg.model.representative,
-            "lambda": cfg.model.contrast_weight,
-            "use_es": cfg.model.use_es,
-        },
-        "train": {
-            "epochs": cfg.train.epochs,
-            "lr0": cfg.train.lr0,
-            "lr_decay_every": cfg.train.lr_decay_every,
-            "lr_decay": cfg.train.lr_decay,
-            "weight_decay": cfg.train.weight_decay,
-            "batch_size": cfg.train.batch_size,
-            "seed": cfg.train.seed,
-            "clip": cfg.train.clip,
-        },
-        "output": {"dir": cfg.output.dir},
-    }
+    doc = {}
+    for s in fields(cfg):
+        section = getattr(cfg, s.name)
+        values = {_JSON_KEYS.get(f.name, f.name): getattr(section, f.name) for f in fields(section)}
+        doc[s.name] = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+    return doc
 
 
 def load(path: str) -> RunConfig:
@@ -153,7 +144,7 @@ def load(path: str) -> RunConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSON syntax or UTF-8 decoding
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return from_dict(doc)
 
@@ -178,8 +169,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("model.horizon, model.t_in and model.head_hidden must be positive")
     if m.contrast_weight < 0:
         raise ConfigError(f"model.lambda must be >= 0, got {m.contrast_weight}")
-    if len(m.blocks_per_stage) != 4 or len(m.strides) != 4:
-        raise ConfigError("model stages must number exactly four")
     for v, name in ((t.epochs, "epochs"), (t.lr0, "lr0"), (t.lr_decay_every, "lr_decay_every"),
                     (t.lr_decay, "lr_decay"), (t.batch_size, "batch_size")):
         if v <= 0:

@@ -23,6 +23,8 @@ from typing import Iterator
 import numpy as np
 
 BIN_MAGIC = b"ESGCNDS1"
+TRAIN_FRACTION = 0.6   # of time steps for the normalizer, and of windows
+VAL_FRACTION = 0.2     # of windows; the rest are test windows
 
 
 class DataError(ValueError):
@@ -95,7 +97,7 @@ def load_bin(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
         t, n = int(header["T"]), int(header["N"])
         interval = int(header.get("interval_minutes", 5))
         has_mask = bool(header["has_mask"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed bin header in {path}: {exc}") from None
     if t <= 0 or n <= 0:
         raise DataError(f"bin header of {path} declares empty data ({t}x{n})")
@@ -159,10 +161,10 @@ def interpolate(ds: SeriesDataset) -> SeriesDataset:
     return repaired
 
 
-def fit_normalizer(values: np.ndarray, train_fraction: float = 0.6) -> NormStats:
-    """Global mean/std over all cells in the first ``train_fraction`` of steps."""
+def fit_normalizer(values: np.ndarray) -> NormStats:
+    """Global mean/std over all cells in the first ``TRAIN_FRACTION`` of steps."""
     t = values.shape[0]
-    span = int(np.floor(t * train_fraction))
+    span = int(np.floor(t * TRAIN_FRACTION))
     if span < 1:
         raise DataError(f"too few time steps ({t}) to fit normalization")
     train = np.asarray(values[:span], dtype=np.float64)
@@ -183,11 +185,10 @@ def window_starts(num_steps: int, t_in: int = 12, t_out: int = 12) -> np.ndarray
     return np.arange(count)
 
 
-def split_windows(starts: np.ndarray, train_fraction: float = 0.6,
-                  val_fraction: float = 0.2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_windows(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = len(starts)
-    n_train = int(np.floor(w * train_fraction))
-    n_val = int(np.floor(w * val_fraction))
+    n_train = int(np.floor(w * TRAIN_FRACTION))
+    n_val = int(np.floor(w * VAL_FRACTION))
     n_test = w - n_train - n_val
     if n_train < 1 or n_val < 1 or n_test < 1:
         raise DataError(f"insufficient windows: {w} split to {n_train}/{n_val}/{n_test}")
@@ -216,13 +217,12 @@ class PreparedData:
         return self.raw.shape[1]
 
 
-def prepare(ds: SeriesDataset, t_in: int = 12, t_out: int = 12,
-            train_fraction: float = 0.6, val_fraction: float = 0.2) -> PreparedData:
+def prepare(ds: SeriesDataset, t_in: int = 12, t_out: int = 12) -> PreparedData:
     repaired = interpolate(ds)
-    stats = fit_normalizer(repaired.values, train_fraction)
+    stats = fit_normalizer(repaired.values)
     norm = stats.apply(repaired.values).astype(np.float32)
     starts = window_starts(repaired.num_steps, t_in, t_out)
-    train, val, test = split_windows(starts, train_fraction, val_fraction)
+    train, val, test = split_windows(starts)
     return PreparedData(repaired.values, norm, stats, t_in, t_out,
                         splits={"train": train, "val": val, "test": test})
 

@@ -21,7 +21,9 @@ from . import tensor as T
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
+REL_ERR_FLOOR = 1e-6       # denominator floor of the relative error
 POINTS_PER_LEAF = 10
+MODEL_POINTS_PER_LEAF = 6  # sampled coordinates per parameter in the full-model cases
 
 
 @dataclass
@@ -41,12 +43,11 @@ class CheckResult:
         return self.max_rel_err < TOLERANCE
 
 
-def relative_error(a: float, b: float, floor: float = 1e-6) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
+def relative_error(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), REL_ERR_FLOOR)
 
 
-def check_case(case: OpCase, seed: int, h: float = FD_STEP,
-               points_per_leaf: int = POINTS_PER_LEAF) -> CheckResult:
+def check_case(case: OpCase, seed: int, points_per_leaf: int = POINTS_PER_LEAF) -> CheckResult:
     """Compare reverse-mode gradients of one case against central differences."""
     rng = np.random.default_rng(seed)
     leaves, forward = case.build(rng)
@@ -72,12 +73,12 @@ def check_case(case: OpCase, seed: int, h: float = FD_STEP,
             coords = coord_rng.choice(n, size=points_per_leaf, replace=False)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
+            flat[c] = orig + FD_STEP
             f_plus = float(forward().data)
-            flat[c] = orig - h
+            flat[c] = orig - FD_STEP
             f_minus = float(forward().data)
             flat[c] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
+            fd = (f_plus - f_minus) / (2.0 * FD_STEP)
             ad = float(grads[key].reshape(-1)[c])
             max_err = max(max_err, relative_error(fd, ad))
             points += 1
@@ -241,19 +242,18 @@ MODEL_VARIANTS = (
 )
 
 
-def full_model_case(nodes: int = 4, t_in: int = 12, channels: int = 8,
-                    suffix: str = "", **overrides) -> OpCase:
+def full_model_case(suffix: str = "", **overrides) -> OpCase:
     """End-to-end check: total training loss of a toy forecaster."""
     from .config import ModelConfig
     from .model import Forecaster
     from .losses import total_loss
 
     def build(rng):
-        cfg = ModelConfig(t_in=t_in, horizon=6, channels=(channels,) * 4,
-                          head_hidden=channels, contrast_weight=0.1, **overrides)
+        cfg = ModelConfig(t_in=12, horizon=6, channels=(8,) * 4, head_hidden=8,
+                          contrast_weight=0.1, **overrides)
         model = Forecaster(cfg, seed=int(rng.integers(2**31)), dtype=np.float64)
-        x = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, 1, nodes, t_in)), dtype=np.float64)
-        y = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, cfg.horizon, nodes)), dtype=np.float64)
+        x = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, 1, 4, cfg.t_in)), dtype=np.float64)
+        y = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, cfg.horizon, 4)), dtype=np.float64)
         # at init every stage ends in a layer norm with unit gamma and zero
         # beta, so the channel mean of the deepest features is 0 to rounding
         # and the avg squeeze sits exactly on the relu kink; jitter all
@@ -273,11 +273,11 @@ def full_model_case(nodes: int = 4, t_in: int = 12, channels: int = 8,
 
 
 def run_all(seed: int = 0, registry: list[OpCase] | None = None,
-            include_model: bool = True, model_points: int = 6) -> list[CheckResult]:
+            include_model: bool = True) -> list[CheckResult]:
     cases = list(default_registry() if registry is None else registry)
     results = [check_case(case, seed=seed + i) for i, case in enumerate(cases)]
     if include_model:
         for suffix, overrides in MODEL_VARIANTS:
             case = full_model_case(suffix=suffix, **overrides)
-            results.append(check_case(case, seed=seed + len(cases), points_per_leaf=model_points))
+            results.append(check_case(case, seed + len(cases), MODEL_POINTS_PER_LEAF))
     return results

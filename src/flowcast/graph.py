@@ -73,11 +73,11 @@ def squeeze_base(s: T.Tensor, f4: T.Tensor, op: str, affine_w: T.Tensor | None =
     return T.tanh(pre)
 
 
-def squeeze_attention(s: T.Tensor, f4: T.Tensor, op: str, reversed: bool = False,
-                      affine_w: T.Tensor | None = None,
-                      affine_b: T.Tensor | None = None) -> T.Tensor:
+def squeeze_adjacency(s: T.Tensor, f4: T.Tensor, op: str, affine_w: T.Tensor | None = None,
+                      affine_b: T.Tensor | None = None) -> tuple[T.Tensor, T.Tensor]:
+    """A and A_r [b, target, source]: the disjoint positive and negative parts."""
     base = squeeze_base(s, f4, op, affine_w, affine_b)
-    return T.relu(T.neg(base)) if reversed else T.relu(base)
+    return T.relu(base), T.relu(T.neg(base))
 
 
 def gcn(s: T.Tensor, f4: T.Tensor, adj: T.Tensor, weight: T.Tensor,
@@ -125,10 +125,9 @@ class EdgeGraph:
         f_c = self.reduce_channels(f4)
         f_l = representative(f_c, self.cfg.representative)
         s = T.cosine_correlate(f_l, f_c, eps=self.cfg.cosine_eps)
-        base = squeeze_base(s, f4, self.cfg.attention_op, self.affine_w, self.affine_b)
-        adj = T.relu(base)
-        adj_rev = T.relu(T.neg(base))
+        adj, adj_rev = squeeze_adjacency(s, f4, self.cfg.attention_op,
+                                         self.affine_w, self.affine_b)
         f_g = gcn(s, f4, adj, self.gcn_w, self.gcn_b)
         # only the contrastive loss reads the reversed aggregation
-        f_gr = gcn(s, f4, adj_rev, self.gcn_w, self.gcn_b) if base.requires_grad else None
+        f_gr = gcn(s, f4, adj_rev, self.gcn_w, self.gcn_b) if adj_rev.requires_grad else None
         return EdgeState(s, f4, adj, adj_rev, f_g, f_gr)

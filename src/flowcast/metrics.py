@@ -26,8 +26,7 @@ class MetricsReport:
 class MetricAccumulator:
     """Streaming accumulator for the three metrics over prediction batches."""
 
-    def __init__(self, mask_eps: float = MAPE_MASK_EPS):
-        self.mask_eps = mask_eps
+    def __init__(self):
         self.sq_sum = 0.0
         self.abs_sum = 0.0
         self.count = 0
@@ -41,7 +40,7 @@ class MetricAccumulator:
         self.sq_sum += float((err * err).sum())
         self.abs_sum += float(np.abs(err).sum())
         self.count += err.size
-        mask = np.abs(true) >= self.mask_eps
+        mask = np.abs(true) >= MAPE_MASK_EPS
         if mask.any():
             self.pct_sum += float((np.abs(err[mask]) / np.abs(true[mask])).sum())
             self.pct_count += int(mask.sum())
@@ -55,8 +54,7 @@ class MetricAccumulator:
         return MetricsReport(rmse, mae, mape)
 
 
-def compute_metrics(pred: np.ndarray, true: np.ndarray,
-                    mask_eps: float = MAPE_MASK_EPS) -> MetricsReport:
-    acc = MetricAccumulator(mask_eps)
+def compute_metrics(pred: np.ndarray, true: np.ndarray) -> MetricsReport:
+    acc = MetricAccumulator()
     acc.add(pred, true)
     return acc.report()

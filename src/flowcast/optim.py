@@ -6,6 +6,8 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # moment decay rates and denominator guard
+
 
 class NumericalError(RuntimeError):
     """Non-finite values where finite ones are required."""
@@ -24,11 +26,9 @@ class Adam:
     gradient before the moment updates, i.e. classic coupled decay."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.0003,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0, clip: float | None = None):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.clip = clip
         self.step_count = 0
@@ -57,17 +57,17 @@ class Adam:
         grads = self._gradients()
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = grads[name]
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data = p.data - np.asarray(self.lr * update, dtype=p.data.dtype)

@@ -25,9 +25,8 @@ class WBlock:
 
     def __init__(self, name: str, c_in: int, c_out: int, stride: int,
                  rng: np.random.Generator, store: dict[str, T.Tensor],
-                 dtype=np.float32, norm_eps: float = 1e-5):
+                 dtype=np.float32):
         self.stride = stride
-        self.norm_eps = norm_eps
         self.embed_w = store[f"{name}.embed.weight"] = P.conv_kernel(rng, c_out, c_in, 3, dtype)
         self.embed_b = store[f"{name}.embed.bias"] = P.zeros((c_out,), dtype)
         self.gate_w = store[f"{name}.gate.weight"] = P.conv_kernel(rng, c_out, c_in, 3, dtype)
@@ -40,7 +39,7 @@ class WBlock:
         c_out = self.embed_w.shape[0]
         embed = T.tanh(T.channel_linear(cols, T.reshape(self.embed_w, (c_out, -1)), self.embed_b))
         gate = T.sigmoid(T.channel_linear(cols, T.reshape(self.gate_w, (c_out, -1)), self.gate_b))
-        return T.layer_norm(T.mul(gate, embed), self.gamma, self.beta, eps=self.norm_eps)
+        return T.layer_norm(T.mul(gate, embed), self.gamma, self.beta, eps=ModelConfig.norm_eps)
 
 
 class TemporalEncoder:
@@ -56,8 +55,7 @@ class TemporalEncoder:
             stage = []
             for j in range(1, blocks + 1):
                 s = stride if j == 1 else 1  # the stage stride lives on its first block
-                stage.append(WBlock(f"stage{i}.block{j}", c_in, c_out, s, rng, store,
-                                    dtype, cfg.norm_eps))
+                stage.append(WBlock(f"stage{i}.block{j}", c_in, c_out, s, rng, store, dtype))
                 c_in = c_out
             self.stages.append(stage)
 

@@ -63,7 +63,7 @@ def persistence_metrics(prep: PreparedData, split: str) -> MetricsReport:
 
 
 def train(model: Forecaster, prep: PreparedData, cfg: TrainConfig,
-          delta: float = 1.0, max_steps: int | None = None) -> TrainResult:
+          max_steps: int | None = None) -> TrainResult:
     """Run the full schedule; keep the epoch with the lowest validation MAE.
 
     A non-finite loss or gradient aborts the loop with parameters as they
@@ -86,7 +86,7 @@ def train(model: Forecaster, prep: PreparedData, cfg: TrainConfig,
                                   rng=shuffle_rng):
             yhat, state = model.forward(T.Tensor(batch.inputs))
             loss, l_h, l_n = total_loss(yhat, T.Tensor(batch.targets_norm),
-                                        state.f_g, state.f_gr, delta, contrast_weight)
+                                        state.f_g, state.f_gr, contrast_weight=contrast_weight)
             if not np.isfinite(loss.data):
                 logger.error("loss diverged at epoch %d step %d", epoch, steps)
                 result.diverged = True

@@ -133,9 +133,9 @@ def test_criterion_3_analytic_unit_values():
         return float(huber_loss(T.Tensor(np.array([r], dtype=np.float64)),
                                 T.Tensor(np.array([0.0], dtype=np.float64))).data)
 
-    from flowcast.graph import squeeze_attention
+    from flowcast.graph import squeeze_adjacency
     one = T.Tensor(np.full((1, 1, 1, 1), 1.0, dtype=np.float64))
-    squeeze_val = squeeze_attention(one, one, "max").data.item()  # R = s * f4 = 1
+    squeeze_val = squeeze_adjacency(one, one, "max")[0].data.item()  # R = s * f4 = 1
 
     checks = {
         "huber(0.5)=0.125": abs(h(0.5) - 0.125),

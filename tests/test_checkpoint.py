@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcast import checkpoint as ckpt
+from malformed import framed, json_values, payload_of
 
 
 def sample_params():
@@ -58,3 +61,24 @@ def test_failed_save_keeps_the_earlier_file(tmp_path):
         ckpt.save(str(path), bad, {}, epoch=1, val_mae=0.0)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
+_headers = json_values | st.fixed_dictionaries({
+    "config": json_values, "epoch": json_values, "val_mae": json_values,
+    "param_shapes": st.dictionaries(st.sampled_from(sorted(sample_params())), json_values)
+    | json_values})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_headers)
+@example([])
+@example({"config": {}, "epoch": 0, "val_mae": 0.0, "param_shapes": []})
+def test_any_header_loads_or_raises_checkpoint_error(tmp_path_factory, header):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    ckpt.save(str(path), sample_params(), {}, epoch=0, val_mae=0.0)
+    path.write_bytes(framed(ckpt.MAGIC, header, payload_of(path.read_bytes())))
+    try:
+        params, _ = ckpt.load(str(path))
+    except ckpt.CheckpointError:
+        return
+    assert set(params) == set(header["param_shapes"])

@@ -3,10 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from flowcast import checkpoint as ckpt
 from flowcast import gradcheck
 from flowcast.cli import _write_json, _write_train_log, main
+from flowcast.data import BIN_MAGIC
 from flowcast.synthetic import sinusoid_dataset
+from malformed import BAD_TYPE_CONFIGS, framed, json_values, payload_of
 
 
 def read_json(path):
@@ -175,6 +180,53 @@ class TestEval:
         assert rc == 3
 
 
+def _with_header(src, dst, header) -> str:
+    """A copy of checkpoint src with its JSON header replaced."""
+    dst.write_bytes(framed(ckpt.MAGIC, header, payload_of(src.read_bytes())))
+    return str(dst)
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("bad", BAD_TYPE_CONFIGS)
+    def test_bad_config_echo_exits_3(self, cli_workspace, tmp_path, bad):
+        trained = cli_workspace / "out" / "best.ckpt"
+        _, header = ckpt.load(str(trained))
+        run = header["config"]["run"]
+        for section, values in bad.items():
+            run[section].update(values)
+        path = _with_header(trained, tmp_path / "bad.ckpt", header)
+        assert main(["eval", path, "--out", str(tmp_path / "e")]) == 3
+
+    @pytest.mark.parametrize("header", [[], {"config": {}, "epoch": 0, "val_mae": 0.0,
+                                              "param_shapes": []}])
+    def test_wrong_shape_header_exits_3(self, cli_workspace, tmp_path, header):
+        path = _with_header(cli_workspace / "out" / "best.ckpt", tmp_path / "bad.ckpt", header)
+        assert main(["eval", path, "--out", str(tmp_path / "e")]) == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=st.fixed_dictionaries({}, optional={
+        name: st.dictionaries(st.sampled_from(["channels", "horizon", "seed", "use_es", "dir"]),
+                              json_values, max_size=2) | json_values
+        for name in ("data", "model", "train", "output")}) | json_values)
+    def test_any_config_echo_exits_2_or_3(self, cli_workspace, tmp_path_factory, run):
+        trained = cli_workspace / "out" / "best.ckpt"
+        _, header = ckpt.load(str(trained))
+        header["config"]["run"] = run
+        root = tmp_path_factory.getbasetemp()
+        path = _with_header(trained, root / "fuzz.ckpt", header)
+        # a readable echo stops at the missing data file instead
+        assert main(["eval", path, "--data", str(root / "absent.csv"),
+                     "--out", str(root / "e")]) in (2, 3)
+
+
+@pytest.mark.parametrize("header", [[], {"T": None, "N": 6, "has_mask": False}])
+def test_wrong_shape_bin_header_exits_2(cli_workspace, tmp_path, header):
+    (tmp_path / "bad.bin").write_bytes(framed(BIN_MAGIC, header))
+    assert main(["eval", str(cli_workspace / "out" / "best.ckpt"),
+                 "--data", str(tmp_path / "bad.bin"), "--format", "bin",
+                 "--out", str(tmp_path / "e")]) == 2
+
+
 class TestPredict:
     def test_forecast_shape(self, cli_workspace, tmp_path):
         rc = main(["predict", str(cli_workspace / "out" / "best.ckpt"), "0",
@@ -293,3 +345,20 @@ class TestConfigCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"attention_op": "bogus"}}))
         assert main(["config", "--check", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", [["config", "--check"], ["train", "--config"]])
+    @pytest.mark.parametrize("bad", BAD_TYPE_CONFIGS)
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**bad, "output": {"dir": str(tmp_path / "out")}}))
+        assert main([*command, str(path)]) == 2
+        section, values = next(iter(bad.items()))
+        assert f"{section}.{next(iter(values))}" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.binary(max_size=40) | json_values.map(lambda v: json.dumps(v).encode("utf-8")))
+    @example(b"\xff")
+    def test_any_file_checks_ok_or_exits_2(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_bytes(blob)
+        assert main(["config", "--check", str(path)]) in (0, 2)

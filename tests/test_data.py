@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcast import data as D
+from malformed import framed, json_values
 
 
 def write(tmp_path, text, name="series.csv"):
@@ -42,6 +43,19 @@ class TestCsvLoading:
         assert "/nonexistent/series.csv" in str(exc.value)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="0123456789.,-+eE naifNI#\n", max_size=40).map(str.encode)
+       | st.binary(max_size=40))
+def test_any_csv_bytes_load_or_raise_data_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(blob)
+    try:
+        ds = D.load_csv(str(path))
+    except D.DataError:
+        return
+    assert ds.values.shape == ds.missing_mask.shape
+
+
 class TestBinFormat:
     def test_round_trip_with_mask(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -70,6 +84,21 @@ class TestBinFormat:
         open(path, "wb").write(blob[:-3])
         with pytest.raises(D.DataError):
             D.load_bin(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(header=st.fixed_dictionaries({}, optional={
+               k: json_values for k in ("T", "N", "interval_minutes", "has_mask")}) | json_values,
+           payload=st.binary(max_size=40))
+    @example(header=[], payload=b"")
+    @example(header={"T": None, "N": 2, "has_mask": False}, payload=b"")
+    def test_any_header_loads_or_raises_data_error(self, tmp_path_factory, header, payload):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(framed(D.BIN_MAGIC, header, payload))
+        try:
+            ds = D.load_bin(str(path))
+        except D.DataError:
+            return
+        assert ds.values.shape == ds.missing_mask.shape
 
     def test_unknown_format_rejected(self):
         with pytest.raises(D.DataError):
@@ -134,7 +163,7 @@ class TestNormalizer:
     def test_known_stats(self):
         values = np.array([[0.0], [2.0], [9.0]])  # first 60% of 3 steps = 1 step... use 10
         values = np.concatenate([np.tile([[0.0], [2.0]], (3, 1)), np.full((4, 1), 9.0)])
-        stats = D.fit_normalizer(values, train_fraction=0.6)
+        stats = D.fit_normalizer(values)
         assert stats.mean == pytest.approx(1.0)
         assert stats.std == pytest.approx(1.0)
         assert stats.apply(2.0) == pytest.approx(1.0)

@@ -166,15 +166,16 @@ class TestSqueezeAttention:
     ])
     def test_analytic_entries(self, value, a, ar):
         s, f4 = self.edges_with_channel_max(value)
-        assert G.squeeze_attention(s, f4, "max").data.item() == pytest.approx(a, abs=1e-9)
-        assert G.squeeze_attention(s, f4, "max", reversed=True).data.item() == pytest.approx(ar, abs=1e-9)
+        adj, adj_rev = G.squeeze_adjacency(s, f4, "max")
+        assert adj.data.item() == pytest.approx(a, abs=1e-9)
+        assert adj_rev.data.item() == pytest.approx(ar, abs=1e-9)
 
     def test_avg_reduces_mean(self):
         s = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float64))
         f4 = np.zeros((1, 2, 1, 1), dtype=np.float64)
         f4[0, 0] = 3.0
         f4[0, 1] = -1.0
-        out = G.squeeze_attention(s, T.Tensor(f4), "avg")
+        out, _ = G.squeeze_adjacency(s, T.Tensor(f4), "avg")
         assert out.data.item() == pytest.approx(np.tanh(1.0), abs=1e-9)
 
     def test_max_learned_identity_at_init(self):
@@ -182,17 +183,17 @@ class TestSqueezeAttention:
         rng = np.random.default_rng(8)
         s = T.Tensor(rng.uniform(-1.0, 1.0, size=(2, 4, 4, 2)).astype(np.float32))
         f4 = rand_f4(rng, b=2, c=8, n=4)
-        plain = G.squeeze_attention(s, f4, "max")
-        learned = G.squeeze_attention(s, f4, "max_learned",
-                                      affine_w=eg.affine_w, affine_b=eg.affine_b)
+        plain, _ = G.squeeze_adjacency(s, f4, "max")
+        learned, _ = G.squeeze_adjacency(s, f4, "max_learned",
+                                         affine_w=eg.affine_w, affine_b=eg.affine_b)
         assert np.allclose(plain.data, learned.data)
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
-            G.squeeze_attention(*self.edges_with_channel_max(0.0), "softmax")
+            G.squeeze_adjacency(*self.edges_with_channel_max(0.0), "softmax")
 
     def test_scalar_case_uses_item(self):
-        out = G.squeeze_attention(*self.edges_with_channel_max(3.0), "max")
+        out, _ = G.squeeze_adjacency(*self.edges_with_channel_max(3.0), "max")
         assert out.shape == (1, 1, 1)
 
     @pytest.mark.parametrize("op", ["max", "avg"])
