@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: train, eval, predict, gradcheck, export-aam, ablate, config.
-Exit codes: 0 ok, 2 input error, 3 corrupt artifact, 4 numerical failure.
+Exit codes: 0 ok, 2 input or file error, 3 corrupt artifact, 4 numerical failure.
 
 eval / predict / export-aam rebuild the model from the config echoed inside
 the checkpoint, so a checkpoint plus a data file is all they need; --data
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.fn(args)
-    except (C.ConfigError, DataError, T.ShapeError) as exc:
+    except (C.ConfigError, DataError, T.ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ckpt.CheckpointError as exc:

@@ -81,7 +81,10 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+    try:
+        return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    except OverflowError:   # a JSON integer too large for a float
+        return False
 
 
 # (type of a field's default, test of a value, what the test wants); first

@@ -239,17 +239,14 @@ def make_batch(prep: PreparedData, starts: np.ndarray) -> WindowBatch:
 
 
 def iter_batches(prep: PreparedData, split: str, batch_size: int,
-                 shuffle: bool = False, rng: np.random.Generator | None = None
-                 ) -> Iterator[WindowBatch]:
+                 rng: np.random.Generator | None = None) -> Iterator[WindowBatch]:
     """Mini-batches over one split; the last short batch is kept.
 
-    Shuffling requires an explicit generator so epoch order is a pure
-    function of the caller's seed; val/test order stays chronological.
+    Given a generator, the windows are shuffled by it, so epoch order is a
+    pure function of the caller's seed; without one, order is chronological.
     """
     starts = prep.splits[split]
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffle=True requires an rng")
+    if rng is not None:
         starts = rng.permutation(starts)
     for lo in range(0, len(starts), batch_size):
         yield make_batch(prep, starts[lo:lo + batch_size])

@@ -132,8 +132,9 @@ def _unary_case(name: str, fn, away_from_zero=False) -> OpCase:
 
 def _case_channel_linear() -> OpCase:
     def build(rng):
+        # a conv-kernel-shaped weight, flattened to [5, 6] by the op
         x = _leaf(rng, (2, 6, 4, 3))
-        w = _leaf(rng, (5, 6))
+        w = _leaf(rng, (5, 2, 1, 3))
         b = _leaf(rng, (5,))
         proj = _projection(rng, (2, 5, 4, 3))
         return ({"x": x, "weight": w, "bias": b},
@@ -218,9 +219,7 @@ def default_registry() -> list[OpCase]:
         _unary_case("sigmoid", T.sigmoid),
         _unary_case("relu", T.relu, away_from_zero=True),
         _unary_case("sum_over_axis", lambda x: T.sum_over_axis(x, axis=1)),
-        _unary_case("mean_over_channel", T.mean_over_channel),
         _unary_case("take_time", lambda x: T.take_time(x, 2)),
-        _unary_case("reshape", lambda x: T.reshape(x, (3, 1, 4, 10))),
         _case_channel_linear(),
         _unary_case("time_columns_s1", lambda x: T.time_columns(x, 1)),
         _unary_case("time_columns_s2", lambda x: T.time_columns(x, 2)),

@@ -64,9 +64,10 @@ def squeeze_base(s: T.Tensor, f4: T.Tensor, op: str, affine_w: T.Tensor | None =
         if op == "max_learned":
             pre = T.add(T.mul(pre, affine_w), affine_b)
     elif op == "avg":
-        # mean_c R[c, i, k] = sum_t s[k, i, t] * mean_c f4[c, i, t]
-        b, _, n, l = f4.shape
-        mean = T.reshape(T.mean_over_channel(f4), (b, 1, n, l))
+        # mean_c R[c, i, k] = sum_t s[k, i, t] * mean_c f4[c, i, t]; the channel
+        # mean [b, 1, n, l] is a 1x1 map through a constant row of 1/c
+        c = f4.shape[1]
+        mean = T.channel_linear(f4, T.Tensor(np.full((1, c), 1.0 / c, dtype=f4.dtype)))
         pre = T.sum_over_axis(T.mul(s, mean), axis=3)
     else:
         raise ValueError(f"unknown attention op {op!r}")

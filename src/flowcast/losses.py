@@ -13,11 +13,6 @@ from __future__ import annotations
 from . import tensor as T
 
 
-def huber_loss(pred: T.Tensor, target: T.Tensor, delta: float = 1.0) -> T.Tensor:
-    """Elementwise Huber averaged over batch, horizon and nodes."""
-    return T.huber(pred, target, delta=delta)
-
-
 def node_contrastive_loss(f_g: T.Tensor, f_gr: T.Tensor) -> T.Tensor:
     """(1/n) tr(F_g^T F_gr) per sample, averaged over the batch axis."""
     if f_g.shape != f_gr.shape:
@@ -32,18 +27,15 @@ def total_loss(pred: T.Tensor, target: T.Tensor, f_g: T.Tensor | None,
                contrast_weight: float = 0.1) -> tuple[T.Tensor, float, float]:
     """Combined objective; returns (loss, huber value, contrastive value).
 
-    With zero weight the contrastive branch is left out of the graph
-    entirely, so its existence cannot influence any gradient; its value is
-    still reported for the log when the branch exists.
+    The contrastive value is reported whenever both aggregations exist, but
+    joins the loss only with a positive weight, so at zero weight backward
+    never reaches it.
     """
-    l_h = huber_loss(pred, target, delta)
-    if contrast_weight > 0 and f_g is not None:
-        l_n = node_contrastive_loss(f_g, f_gr)
-        loss = T.add(l_h, T.mul(l_n, T.Tensor(contrast_weight, dtype=l_n.dtype)))
-        return loss, float(l_h.data), float(l_n.data)
+    l_h = T.huber(pred, target, delta)
+    loss, l_n_value = l_h, 0.0
     if f_g is not None and f_gr is not None:
-        with T.no_grad():
-            l_n_value = float(node_contrastive_loss(f_g.detach(), f_gr.detach()).data)
-    else:
-        l_n_value = 0.0
-    return l_h, float(l_h.data), l_n_value
+        l_n = node_contrastive_loss(f_g, f_gr)
+        l_n_value = float(l_n.data)
+        if contrast_weight > 0:
+            loss = T.add(l_h, T.mul(l_n, T.Tensor(contrast_weight, dtype=l_n.dtype)))
+    return loss, float(l_h.data), l_n_value

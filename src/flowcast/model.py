@@ -1,10 +1,11 @@
 """The full forecaster: temporal encoder, edge-squeeze graph block, fusion
 and the two-layer prediction head.
 
-Fusion takes each of the first three stage outputs through its own 1x1
-channel map, keeps the last time step, and sums those slices with the
-linearly mapped graph features. The result feeds a shared-across-nodes
-ReLU MLP producing the h-step forecast in normalized units.
+Fusion takes the last time step of each of the first three stage outputs
+through its own 1x1 channel map (only the slice the head reads is mapped)
+and sums them with the linearly mapped graph features. The result feeds a
+shared-across-nodes ReLU MLP producing the h-step forecast in normalized
+units.
 
 With the graph block disabled (`use_es=False`, the backbone-only ablation)
 the graph term is replaced by a 1x1-mapped last slice of the deepest stage
@@ -16,6 +17,7 @@ node-permutation equivariant.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -91,22 +93,15 @@ class Forecaster:
             p.zero_grad()
 
     def fuse(self, stage_outputs: list[T.Tensor], f_g: T.Tensor | None) -> T.Tensor:
-        terms = []
-        for i, f_i in enumerate(stage_outputs[:3], start=1):
-            mapped = T.channel_linear(f_i, self.params[f"head.fuse{i}.weight"],
-                                      self.params[f"head.fuse{i}.bias"])
-            terms.append(T.take_time(mapped, -1))
-        if f_g is not None:
-            terms.append(T.channel_linear(f_g, self.params["head.fuse_es.weight"],
-                                          self.params["head.fuse_es.bias"]))
-        else:
-            mapped = T.channel_linear(stage_outputs[3], self.params["head.fuse_f4.weight"],
-                                      self.params["head.fuse_f4.bias"])
-            terms.append(T.take_time(mapped, -1))
-        fused = terms[0]
-        for term in terms[1:]:
-            fused = T.add(fused, term)
-        return fused
+        """Sum of the 1x1-mapped last time slices of stages 1-3 and the graph term."""
+        slices = [(f"fuse{i}", T.take_time(f_i, -1))
+                  for i, f_i in enumerate(stage_outputs[:3], start=1)]
+        slices.append(("fuse_es", f_g) if f_g is not None
+                      else ("fuse_f4", T.take_time(stage_outputs[3], -1)))
+        p = self.params
+        return functools.reduce(T.add, [
+            T.channel_linear(h, p[f"head.{name}.weight"], p[f"head.{name}.bias"])
+            for name, h in slices])
 
     def predict(self, fused: T.Tensor) -> T.Tensor:
         hidden = T.relu(T.channel_linear(fused, self.params["head.hidden.weight"],

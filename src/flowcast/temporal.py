@@ -5,10 +5,10 @@ Four stages of blocks, each block a pair of 1x3 temporal convolutions
 elementwise and layer-normalized over channels. A block builds the
 zero-padded taps of its input once, as im2col columns (``time_columns``),
 and both paths map those columns through ``channel_linear`` with their
-flattened kernels. The kernel never spans the node axis, so every region's
-series is encoded independently; strides of (1, 2, 2, 2) at the first block
-of each stage halve the time extent and widen the receptive field stage by
-stage.
+[c_out, c_in, 1, 3] kernels as the weights. The kernel never spans the node
+axis, so every region's series is encoded independently. A stage's stride
+sits on its first block (``block_strides``): strides of (1, 2, 2, 2) halve
+the time extent and widen the receptive field stage by stage.
 """
 
 from __future__ import annotations
@@ -36,10 +36,15 @@ class WBlock:
 
     def forward(self, x: T.Tensor) -> T.Tensor:
         cols = T.time_columns(x, self.stride)
-        c_out = self.embed_w.shape[0]
-        embed = T.tanh(T.channel_linear(cols, T.reshape(self.embed_w, (c_out, -1)), self.embed_b))
-        gate = T.sigmoid(T.channel_linear(cols, T.reshape(self.gate_w, (c_out, -1)), self.gate_b))
+        embed = T.tanh(T.channel_linear(cols, self.embed_w, self.embed_b))
+        gate = T.sigmoid(T.channel_linear(cols, self.gate_w, self.gate_b))
         return T.layer_norm(T.mul(gate, embed), self.gamma, self.beta, eps=ModelConfig.norm_eps)
+
+
+def block_strides(cfg: ModelConfig) -> list[list[int]]:
+    """Per stage, the stride of each block: the stage stride sits on its first block."""
+    return [[stride] + [1] * (blocks - 1)
+            for blocks, stride in zip(cfg.blocks_per_stage, cfg.strides)]
 
 
 class TemporalEncoder:
@@ -50,11 +55,9 @@ class TemporalEncoder:
         self.cfg = cfg
         self.stages: list[list[WBlock]] = []
         c_in = 1
-        for i, (blocks, stride, c_out) in enumerate(
-                zip(cfg.blocks_per_stage, cfg.strides, cfg.channels), start=1):
+        for i, (strides, c_out) in enumerate(zip(block_strides(cfg), cfg.channels), start=1):
             stage = []
-            for j in range(1, blocks + 1):
-                s = stride if j == 1 else 1  # the stage stride lives on its first block
+            for j, s in enumerate(strides, start=1):
                 stage.append(WBlock(f"stage{i}.block{j}", c_in, c_out, s, rng, store, dtype))
                 c_in = c_out
             self.stages.append(stage)
@@ -73,9 +76,8 @@ def stage_time_lengths(cfg: ModelConfig) -> list[int]:
     """Per-stage output time extents under the conv length arithmetic."""
     lengths = []
     t = cfg.t_in
-    for blocks, stride in zip(cfg.blocks_per_stage, cfg.strides):
-        for j in range(blocks):
-            s = stride if j == 0 else 1
+    for strides in block_strides(cfg):
+        for s in strides:
             t = T.conv_time_length(t, s)
             if t < 1:
                 raise ValueError(f"time extent collapses to {t} under config {cfg}")
@@ -91,10 +93,9 @@ def receptive_fields(cfg: ModelConfig) -> list[int]:
     """
     fields = []
     rf, jump = 1, 1
-    for blocks, stride in zip(cfg.blocks_per_stage, cfg.strides):
-        for j in range(blocks):
-            s = stride if j == 0 else 1
-            rf += (3 - 1) * jump
+    for strides in block_strides(cfg):
+        for s in strides:
+            rf += (T.KERNEL_T - 1) * jump
             jump *= s
         fields.append(rf)
     return fields

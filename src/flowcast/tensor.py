@@ -15,8 +15,8 @@ is bitwise the same whether or not it is part of a larger batch:
 
 * ``channel_linear``, ``cosine_correlate`` and ``edge_mix`` are one
   ``np.matmul`` over a [b, ., .] stack. The temporal convolutions are
-  ``channel_linear`` over ``time_columns``, which stacks the 1x3 taps as
-  channels (im2col), so they need no kernel of their own;
+  ``channel_linear`` of a conv kernel over ``time_columns``, which stacks
+  the 1x3 taps as channels (im2col), so they need no kernel of their own;
 * ``edge_max`` loops over samples so that it holds the b x c x n x n
   relational tensor one sample at a time. ``edge_mix`` never forms that
   tensor: it contracts it away by associativity.
@@ -102,9 +102,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, op="detach")
-
     # -- reverse mode -------------------------------------------------------
 
     def backward(self) -> None:
@@ -113,8 +110,8 @@ class Tensor:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
             raise DetachedTensorError("backward() on a tensor with no gradient path")
-        if self._backward_fn is None and self.op not in ("leaf", "detach"):
-            raise DetachedTensorError("backward() on a consumed or detached graph")
+        if self._backward_fn is None and self.op != "leaf":
+            raise DetachedTensorError("backward() on a consumed graph")
         topo = _topo_order(self)
         self.grad = np.ones_like(self.data)
         while topo:
@@ -249,37 +246,18 @@ def relu(a: Tensor) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def sum_over_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    y = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_over_axis(a: Tensor, axis=None) -> Tensor:
+    y = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
 
     return _make(np.asarray(y), (a,), backward, "sum")
 
 
-def mean_over_channel(a: Tensor, axis: int = 1) -> Tensor:
-    if a.data.ndim <= axis:
-        raise ShapeError(f"mean_over_channel: no axis {axis} in shape {a.shape}")
-    c = a.shape[axis]
-    y = a.data.mean(axis=axis)
-
-    def backward(g):
-        _accumulate(a, np.repeat(np.expand_dims(g / c, axis), c, axis=axis))
-
-    return _make(y, (a,), backward, "mean_over_channel")
-
-
 # -- shape ops ----------------------------------------------------------------
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    def backward(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(a.data.reshape(shape), (a,), backward, "reshape")
 
 
 def take_time(a: Tensor, index: int) -> Tensor:
@@ -300,28 +278,31 @@ def take_time(a: Tensor, index: int) -> Tensor:
 
 
 def channel_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Map the channel axis of x [b, c, ...] through weight [d, c] (+ bias [d]).
+    """Map the channel axis of x [b, c, ...] through weight [d, ...] (+ bias [d]).
 
-    This is a 1x1 convolution over channels: every trailing position is
-    transformed independently. The trailing axes are flattened into a
-    [b, c, m] stack and multiplied by one GEMM per sample, so per-sample
-    results are bitwise independent of the batch extent.
+    The weight is used flattened to [d, c], so a [c_out, c_in, 1, 3] kernel
+    maps ``time_columns`` as it is. This is a 1x1 convolution over channels:
+    every trailing position is transformed independently. The trailing axes
+    are flattened into a [b, c, m] stack and multiplied by one GEMM per
+    sample, so per-sample results are bitwise independent of the batch extent.
     """
-    if x.data.ndim < 2 or weight.data.ndim != 2 or weight.shape[1] != x.shape[1]:
+    if x.data.ndim < 2 or weight.data.ndim < 2 or weight.size != weight.shape[0] * x.shape[1]:
         raise ShapeError(f"channel_linear: x {x.shape} incompatible with weight {weight.shape}")
-    if bias is not None and bias.shape != (weight.shape[0],):
-        raise ShapeError(f"channel_linear: bias {bias.shape} incompatible with weight {weight.shape}")
     b, c = x.shape[:2]
     d = weight.shape[0]
+    w = weight.data.reshape(d, c)
+    if bias is not None and bias.shape != (d,):
+        raise ShapeError(f"channel_linear: bias {bias.shape} incompatible with weight {weight.shape}")
     xs = x.data.reshape(b, c, -1)
-    y = np.matmul(weight.data, xs)
+    y = np.matmul(w, xs)
     if bias is not None:
         y += bias.data[:, None]
 
     def backward(g):
         gs = g.reshape(b, d, -1)
-        _accumulate(weight, np.matmul(gs, xs.transpose(0, 2, 1)).sum(axis=0))
-        _accumulate(x, np.matmul(weight.data.T, gs).reshape(x.shape))
+        dw = np.matmul(gs, xs.transpose(0, 2, 1)).sum(axis=0)
+        _accumulate(weight, dw.reshape(weight.shape))
+        _accumulate(x, np.matmul(w.T, gs).reshape(x.shape))
         if bias is not None:
             _accumulate(bias, gs.sum(axis=(0, 2)))
 
@@ -335,8 +316,8 @@ KERNEL_T = 3
 PAD_T = 1
 
 
-def conv_time_length(t: int, stride: int, pad: int = PAD_T, kernel: int = KERNEL_T) -> int:
-    return (t + 2 * pad - kernel) // stride + 1
+def conv_time_length(t: int, stride: int) -> int:
+    return (t + 2 * PAD_T - KERNEL_T) // stride + 1
 
 
 def time_columns(x: Tensor, stride: int) -> Tensor:
@@ -345,9 +326,9 @@ def time_columns(x: Tensor, stride: int) -> Tensor:
     x [b, c, n, t] -> [b, c*3, n, t_out], t_out = conv_time_length(t, stride),
     with out[:, 3*j + k, :, u] = xp[:, j, :, stride*u + k] where xp is x
     zero-padded by one step at each end: channel-major, then tap. That is
-    the row-major flatten of a [c_out, c, 1, 3] kernel, so the node-wise
-    convolution is channel_linear(time_columns(x, s), reshape(w, (c_out, -1)),
-    bias). The taps never span the node axis.
+    the row-major flatten of a [c_out, c, 1, 3] kernel w, so the node-wise
+    convolution is channel_linear(time_columns(x, s), w, bias). The taps
+    never span the node axis.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"time_columns input must be 4-axis, got {x.shape}")

@@ -82,8 +82,7 @@ def train(model: Forecaster, prep: PreparedData, cfg: TrainConfig,
         opt.lr = lr_at_epoch(epoch, cfg.lr0, cfg.lr_decay, cfg.lr_decay_every)
         huber_sum = contrast_sum = 0.0
         batches = 0
-        for batch in iter_batches(prep, "train", cfg.batch_size, shuffle=True,
-                                  rng=shuffle_rng):
+        for batch in iter_batches(prep, "train", cfg.batch_size, rng=shuffle_rng):
             yhat, state = model.forward(T.Tensor(batch.inputs))
             loss, l_h, l_n = total_loss(yhat, T.Tensor(batch.targets_norm),
                                         state.f_g, state.f_gr, contrast_weight=contrast_weight)

@@ -26,7 +26,7 @@ def payload_of(blob: bytes) -> bytes:
     return blob[12 + hlen:]
 
 
-# config documents whose only fault is one value of the wrong type
+# config documents whose only fault is one value its field's type cannot hold
 BAD_TYPE_CONFIGS = [
     {"model": {"horizon": 2.5}},
     {"train": {"batch_size": 1.5}},
@@ -36,4 +36,5 @@ BAD_TYPE_CONFIGS = [
     {"model": {"channels": 5}},
     {"model": {"lambda": "x"}},
     {"model": {"use_es": "no"}},
+    {"train": {"lr0": 10**400}},   # a JSON integer too large for a float
 ]

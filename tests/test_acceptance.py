@@ -18,7 +18,6 @@ from flowcast import gradcheck
 from flowcast.config import ModelConfig, TrainConfig
 from flowcast.data import load_dataset, make_batch, prepare
 from flowcast.graph import EdgeGraph
-from flowcast.losses import huber_loss
 from flowcast.metrics import compute_metrics
 from flowcast.model import Forecaster
 from flowcast.optim import lr_at_epoch
@@ -111,8 +110,8 @@ def test_criterion_2_structural_invariants():
 
     # (e) Huber continuity across the |r| = delta seam
     def h(r):
-        return float(huber_loss(T.Tensor(np.array([r], dtype=np.float64)),
-                                T.Tensor(np.array([0.0], dtype=np.float64))).data)
+        return float(T.huber(T.Tensor(np.array([r], dtype=np.float64)),
+                             T.Tensor(np.array([0.0], dtype=np.float64))).data)
 
     eps = 1e-10
     seam_gap = abs(h(1.0 - eps) - h(1.0 + eps))
@@ -130,8 +129,8 @@ def test_criterion_2_structural_invariants():
 
 def test_criterion_3_analytic_unit_values():
     def h(r):
-        return float(huber_loss(T.Tensor(np.array([r], dtype=np.float64)),
-                                T.Tensor(np.array([0.0], dtype=np.float64))).data)
+        return float(T.huber(T.Tensor(np.array([r], dtype=np.float64)),
+                             T.Tensor(np.array([0.0], dtype=np.float64))).data)
 
     from flowcast.graph import squeeze_adjacency
     one = T.Tensor(np.full((1, 1, 1, 1), 1.0, dtype=np.float64))

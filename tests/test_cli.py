@@ -227,6 +227,22 @@ def test_wrong_shape_bin_header_exits_2(cli_workspace, tmp_path, header):
                  "--out", str(tmp_path / "e")]) == 2
 
 
+class TestFileSystemErrors:
+    def test_out_below_a_file_exits_2(self, cli_workspace, capsys):
+        cfg = str(cli_workspace / "cfg.json")
+        assert main(["train", "--config", cfg, "--out", cfg + "/sub"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_check_of_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["config", "--check", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_eval_data_directory_exits_2(self, cli_workspace, tmp_path, capsys):
+        assert main(["eval", str(cli_workspace / "out" / "best.ckpt"), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestPredict:
     def test_forecast_shape(self, cli_workspace, tmp_path):
         rc = main(["predict", str(cli_workspace / "out" / "best.ckpt"), "0",

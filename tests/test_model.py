@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import flowcast.tensor as T
 from flowcast.config import ModelConfig
-from flowcast.losses import huber_loss, node_contrastive_loss, total_loss
+from flowcast.losses import node_contrastive_loss, total_loss
 from flowcast.model import Forecaster
 
 
@@ -84,21 +86,21 @@ class TestPredictionHead:
 class TestLosses:
     def test_huber_zero_residual(self):
         y = T.Tensor(np.array([1.0, 2.0], dtype=np.float64))
-        assert float(huber_loss(y, y).data) == 0.0
+        assert float(T.huber(y, y).data) == 0.0
 
     def test_huber_quadratic_branch(self):
         pred = T.Tensor(np.array([0.5], dtype=np.float64))
         target = T.Tensor(np.array([0.0], dtype=np.float64))
-        assert float(huber_loss(pred, target, delta=1.0).data) == pytest.approx(0.125, abs=1e-12)
+        assert float(T.huber(pred, target, delta=1.0).data) == pytest.approx(0.125, abs=1e-12)
 
     def test_huber_linear_branch(self):
         pred = T.Tensor(np.array([2.0], dtype=np.float64))
         target = T.Tensor(np.array([0.0], dtype=np.float64))
-        assert float(huber_loss(pred, target, delta=1.0).data) == pytest.approx(1.5, abs=1e-12)
+        assert float(T.huber(pred, target, delta=1.0).data) == pytest.approx(1.5, abs=1e-12)
 
     def test_huber_seam_slope_continuity(self):
         def h(r):
-            return float(huber_loss(T.Tensor(np.array([r])), T.Tensor(np.array([0.0]))).data)
+            return float(T.huber(T.Tensor(np.array([r])), T.Tensor(np.array([0.0]))).data)
 
         eps = 1e-5
         left_slope = (h(1.0) - h(1.0 - eps)) / eps
@@ -154,7 +156,7 @@ class TestReversedBranchIsolation:
                 loss, _, _ = total_loss(yhat, T.Tensor(y), state.f_g, state.f_gr,
                                         contrast_weight=0.0)
             else:
-                loss = huber_loss(yhat, T.Tensor(y))
+                loss = T.huber(yhat, T.Tensor(y))
             loss.backward()
             return {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
 
@@ -165,15 +167,16 @@ class TestReversedBranchIsolation:
             assert np.array_equal(with_branch[key], without[key]), key
 
     def test_reversed_branch_gets_gradient_only_through_contrast(self):
-        cfg = ModelConfig(channels=(8, 8, 8, 8), head_hidden=8, contrast_weight=0.0)
-        model, x = model_and_input(cfg)
+        model, x = model_and_input()
         y = T.Tensor(np.zeros((2, 12, 5), dtype=np.float32))
-        yhat, state = model.forward(x)
-        loss, _, _ = total_loss(yhat, y, state.f_g, state.f_gr, contrast_weight=0.0)
-        loss.backward()
-        # the reversed adjacency exists but sits outside the loss graph
-        assert state.adjacency(0).adj_reversed is not None
-
+        released = {}
+        for weight in (0.0, 0.1):
+            yhat, state = model.forward(x)
+            loss, _, _ = total_loss(yhat, y, state.f_g, state.f_gr, contrast_weight=weight)
+            loss.backward()
+            # backward releases the closure of every node it walks
+            released[weight] = state.f_gr._backward_fn is None
+        assert released == {0.0: False, 0.1: True}
 
 class TestNoGradForward:
     def test_forecast_bitwise_equal_to_recorded_forward(self):
@@ -208,3 +211,20 @@ class TestEquivariance:
             base, _ = model.forward(T.Tensor(x))
             permuted, _ = model.forward(T.Tensor(x[:, :, perm, :]))
             assert np.allclose(base.data[:, :, perm], permuted.data, atol=1e-5)
+
+
+class TestTrainingGraph:
+    def test_default_graph_op_multiset_is_pinned(self):
+        # 7 gated blocks (time_columns, 2 channel_linear, tanh, sigmoid, mul,
+        # layer_norm), the edge block, a head that maps only the slices it
+        # reads, and Huber + lambda * contrastive
+        model, x = model_and_input(cfg=ModelConfig())
+        yhat, state = model.forward(x)
+        loss, _, _ = total_loss(yhat, T.Tensor(np.zeros((2, 12, 5), dtype=np.float32)),
+                                state.f_g, state.f_gr)
+        ops = Counter(node.op for node in T._topo_order(loss) if node.op != "leaf")
+        assert ops == {"time_columns": 7, "channel_linear": 23, "tanh": 8, "sigmoid": 7,
+                       "mul": 10, "layer_norm": 7, "take_time": 4, "cosine_correlate": 1,
+                       "edge_max": 1, "neg": 1, "relu": 3, "edge_mix": 2, "add": 4,
+                       "sum": 1, "huber": 1}
+        assert sum(ops.values()) == 80
