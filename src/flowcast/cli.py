@@ -210,6 +210,8 @@ def cmd_gradcheck(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         all_pass &= r.passed
         print(f"{r.name:<{width}s}  max_rel_err {r.max_rel_err:.3e}  {status}")
+        if r.restepped:
+            print(f"{'':<{width}s}  re-stepped across a kink: {', '.join(r.restepped)}")
     print(f"gradcheck: {'all ops pass' if all_pass else 'FAILURES present'} "
           f"(tolerance {gradcheck.TOLERANCE:g})")
     return EXIT_OK if all_pass else EXIT_NUMERICAL

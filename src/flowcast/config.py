@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
@@ -103,7 +104,7 @@ def _typed(path: str, value, default):
     """``value`` if it has the kind of ``default``, else a ConfigError naming ``path``."""
     test, kind = next((test, kind) for t, test, kind in _KINDS if isinstance(default, t))
     if not test(value):
-        raise ConfigError(f"{path} must be {kind}, got {value!r}")
+        raise ConfigError(f"{path} must be {kind}, got {reprlib.repr(value)}")
     return tuple(value) if isinstance(default, tuple) else value
 
 

@@ -8,6 +8,11 @@ computation with individually perturbed inputs and forms central differences,
 in 64-bit precision. Each registered case builds fresh leaf tensors, applies
 the op, and collapses the output to a scalar through a fixed random
 projection so every output element influences the loss.
+
+A stencil that straddles a kink measures a mix of two slopes. When the two
+evaluations of a coordinate disagree on a relu mask or an edge-max argmax,
+the coordinate is re-stepped with a tenfold smaller h, down to
+MIN_FD_STEP, and the result names it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from . import tensor as T
 
 FD_STEP = 1e-5
+MIN_FD_STEP = 1e-8         # smallest re-step of a coordinate that straddles a kink
 TOLERANCE = 1e-4
 REL_ERR_FLOOR = 1e-6       # denominator floor of the relative error
 POINTS_PER_LEAF = 10
@@ -37,6 +43,7 @@ class CheckResult:
     name: str
     max_rel_err: float
     points: int
+    restepped: tuple[str, ...] = ()   # "leaf[index] h=step" per coordinate re-stepped
 
     @property
     def passed(self) -> bool:
@@ -45,6 +52,39 @@ class CheckResult:
 
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), REL_ERR_FLOOR)
+
+
+def _kinks(loss: T.Tensor) -> list[np.ndarray]:
+    """The relu masks and edge-max argmaxes of a recorded graph, in graph order."""
+    found = []
+    for node in T._topo_order(loss):
+        if node.op == "relu":
+            found.append(node._parents[0].data > 0)
+        elif node.op == "edge_max":
+            corr, feat = (p.data for p in node._parents)
+            found.append(np.einsum("bkit,bcit->bkic", corr, feat).argmax(axis=-1))
+    return found
+
+
+def _central_difference(forward, flat: np.ndarray, c: int) -> tuple[float, float]:
+    """(f(x + h e_c) - f(x - h e_c)) / 2h and the h used: FD_STEP, shrunk
+    tenfold while the two evaluations sit on different sides of a kink."""
+    orig = flat[c]
+    h = FD_STEP
+    try:
+        while True:
+            # the kinks are read before the next evaluation moves the leaf
+            flat[c] = orig + h
+            plus = forward()
+            kinks_plus = _kinks(plus)
+            flat[c] = orig - h
+            minus = forward()
+            straddles = any(not np.array_equal(a, b) for a, b in zip(kinks_plus, _kinks(minus)))
+            if not straddles or h / 10 < MIN_FD_STEP:
+                return (float(plus.data) - float(minus.data)) / (2.0 * h), h
+            h /= 10
+    finally:
+        flat[c] = orig
 
 
 def check_case(case: OpCase, seed: int, points_per_leaf: int = POINTS_PER_LEAF) -> CheckResult:
@@ -64,6 +104,7 @@ def check_case(case: OpCase, seed: int, points_per_leaf: int = POINTS_PER_LEAF) 
     coord_rng = np.random.default_rng(seed + 1)
     max_err = 0.0
     points = 0
+    restepped = []
     for key, leaf in leaves.items():
         flat = leaf.data.reshape(-1)
         n = flat.size
@@ -72,23 +113,20 @@ def check_case(case: OpCase, seed: int, points_per_leaf: int = POINTS_PER_LEAF) 
         else:
             coords = coord_rng.choice(n, size=points_per_leaf, replace=False)
         for c in coords:
-            orig = flat[c]
-            flat[c] = orig + FD_STEP
-            f_plus = float(forward().data)
-            flat[c] = orig - FD_STEP
-            f_minus = float(forward().data)
-            flat[c] = orig
-            fd = (f_plus - f_minus) / (2.0 * FD_STEP)
+            fd, h = _central_difference(forward, flat, c)
+            if h != FD_STEP:
+                restepped.append(f"{key}[{c}] h={h:.0e}")
             ad = float(grads[key].reshape(-1)[c])
             max_err = max(max_err, relative_error(fd, ad))
             points += 1
-    return CheckResult(case.name, max_err, points)
+    return CheckResult(case.name, max_err, points, tuple(restepped))
 
 
 # -- case builders -------------------------------------------------------------
 #
 # Inputs are drawn away from non-smooth points (relu/huber kinks, max ties)
-# so the finite-difference stencil never straddles a derivative jump.
+# so the finite-difference stencil of an op case never straddles a
+# derivative jump.
 
 
 def _leaf(rng: np.random.Generator, shape, low=-2.0, high=2.0) -> T.Tensor:
@@ -132,9 +170,8 @@ def _unary_case(name: str, fn, away_from_zero=False) -> OpCase:
 
 def _case_channel_linear() -> OpCase:
     def build(rng):
-        # a conv-kernel-shaped weight, flattened to [5, 6] by the op
         x = _leaf(rng, (2, 6, 4, 3))
-        w = _leaf(rng, (5, 2, 1, 3))
+        w = _leaf(rng, (5, 6))
         b = _leaf(rng, (5,))
         proj = _projection(rng, (2, 5, 4, 3))
         return ({"x": x, "weight": w, "bias": b},
@@ -143,16 +180,18 @@ def _case_channel_linear() -> OpCase:
     return OpCase("channel_linear", build)
 
 
-def _case_layer_norm() -> OpCase:
+def _case_gated_block(stride: int, t: int) -> OpCase:
     def build(rng):
-        x = _leaf(rng, (2, 6, 3, 4))
-        gamma = _leaf(rng, (6,), low=0.5, high=1.5)
-        beta = _leaf(rng, (6,))
-        w = _projection(rng, (2, 6, 3, 4))
-        return ({"x": x, "gamma": gamma, "beta": beta},
-                lambda: _project(T.layer_norm(x, gamma, beta), w))
+        b, c, n, d = 2, 3, 4, 5
+        # in gated_block's argument order
+        leaves = {"x": _leaf(rng, (b, c, n, t)),
+                  "embed_w": _leaf(rng, (d, c, 1, 3)), "embed_b": _leaf(rng, (d,)),
+                  "gate_w": _leaf(rng, (d, c, 1, 3)), "gate_b": _leaf(rng, (d,)),
+                  "gamma": _leaf(rng, (d,), low=0.5, high=1.5), "beta": _leaf(rng, (d,))}
+        w = _projection(rng, (b, d, n, T.conv_time_length(t, stride)))
+        return leaves, lambda: _project(T.gated_block(*leaves.values(), stride), w)
 
-    return OpCase("layer_norm", build)
+    return OpCase(f"gated_block_s{stride}", build)
 
 
 def _case_cosine_correlate() -> OpCase:
@@ -210,20 +249,19 @@ def _case_huber() -> OpCase:
 
 
 def default_registry() -> list[OpCase]:
-    """Every differentiable op the model calls; time_columns once per stride."""
+    """Every differentiable op the model calls; gated_block once per stride,
+    the stride-2 case at an odd time extent."""
     return [
         _binary_case("add", T.add),
         _binary_case("mul", T.mul),
         _unary_case("neg", T.neg),
         _unary_case("tanh", T.tanh),
-        _unary_case("sigmoid", T.sigmoid),
         _unary_case("relu", T.relu, away_from_zero=True),
         _unary_case("sum_over_axis", lambda x: T.sum_over_axis(x, axis=1)),
         _unary_case("take_time", lambda x: T.take_time(x, 2)),
         _case_channel_linear(),
-        _unary_case("time_columns_s1", lambda x: T.time_columns(x, 1)),
-        _unary_case("time_columns_s2", lambda x: T.time_columns(x, 2)),
-        _case_layer_norm(),
+        _case_gated_block(stride=1, t=4),
+        _case_gated_block(stride=2, t=3),
         _case_cosine_correlate(),
         _case_edge_max(),
         _case_edge_mix(),

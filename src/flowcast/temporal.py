@@ -2,10 +2,9 @@
 
 Four stages of blocks, each block a pair of 1x3 temporal convolutions
 (embedding path through tanh, gate path through sigmoid) multiplied
-elementwise and layer-normalized over channels. A block builds the
-zero-padded taps of its input once, as im2col columns (``time_columns``),
-and both paths map those columns through ``channel_linear`` with their
-[c_out, c_in, 1, 3] kernels as the weights. The kernel never spans the node
+elementwise and layer-normalized over channels. A block is one op,
+``tensor.gated_block``, which runs both [c_out, c_in, 1, 3] kernels as one
+GEMM over the im2col taps of its input. The kernel never spans the node
 axis, so every region's series is encoded independently. A stage's stride
 sits on its first block (``block_strides``): strides of (1, 2, 2, 2) halve
 the time extent and widen the receptive field stage by stage.
@@ -35,10 +34,8 @@ class WBlock:
         self.beta = store[f"{name}.norm.beta"] = P.zeros((c_out,), dtype)
 
     def forward(self, x: T.Tensor) -> T.Tensor:
-        cols = T.time_columns(x, self.stride)
-        embed = T.tanh(T.channel_linear(cols, self.embed_w, self.embed_b))
-        gate = T.sigmoid(T.channel_linear(cols, self.gate_w, self.gate_b))
-        return T.layer_norm(T.mul(gate, embed), self.gamma, self.beta, eps=ModelConfig.norm_eps)
+        return T.gated_block(x, self.embed_w, self.embed_b, self.gate_w, self.gate_b,
+                             self.gamma, self.beta, self.stride, eps=ModelConfig.norm_eps)
 
 
 def block_strides(cfg: ModelConfig) -> list[list[int]]:

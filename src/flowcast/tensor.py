@@ -14,9 +14,13 @@ Every contraction runs one BLAS GEMM per sample, so each sample's result
 is bitwise the same whether or not it is part of a larger batch:
 
 * ``channel_linear``, ``cosine_correlate`` and ``edge_mix`` are one
-  ``np.matmul`` over a [b, ., .] stack. The temporal convolutions are
-  ``channel_linear`` of a conv kernel over ``time_columns``, which stacks
-  the 1x3 taps as channels (im2col), so they need no kernel of their own;
+  ``np.matmul`` over a [b, ., .] stack;
+* ``gated_block`` is a whole temporal block in one op: it stacks the 1x3
+  taps of its input as channels (im2col) with shifted slices of the flat
+  (node, time) axis, runs both convolutions as one ``np.matmul`` against
+  the concatenated kernels, then the tanh/sigmoid gate and the channel
+  layer norm in place. Its backward keeps five arrays, not a chain of
+  seven nodes;
 * ``edge_max`` loops over samples so that it holds the b x c x n x n
   relational tensor one sample at a time. ``edge_mix`` never forms that
   tensor: it contracts it away by associativity.
@@ -164,8 +168,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.dtype)   # a copy: never aliases g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -224,16 +229,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), backward, "tanh")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # 0.5*(tanh(x/2)+1) is overflow-free for any finite input
-    y = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
-
-    def backward(g):
-        _accumulate(a, g * y * (1.0 - y))
-
-    return _make(y, (a,), backward, "sigmoid")
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -278,19 +273,18 @@ def take_time(a: Tensor, index: int) -> Tensor:
 
 
 def channel_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Map the channel axis of x [b, c, ...] through weight [d, ...] (+ bias [d]).
+    """Map the channel axis of x [b, c, ...] through weight [d, c] (+ bias [d]).
 
-    The weight is used flattened to [d, c], so a [c_out, c_in, 1, 3] kernel
-    maps ``time_columns`` as it is. This is a 1x1 convolution over channels:
-    every trailing position is transformed independently. The trailing axes
-    are flattened into a [b, c, m] stack and multiplied by one GEMM per
-    sample, so per-sample results are bitwise independent of the batch extent.
+    This is a 1x1 convolution over channels: every trailing position is
+    transformed independently. The trailing axes are flattened into a
+    [b, c, m] stack and multiplied by one GEMM per sample, so per-sample
+    results are bitwise independent of the batch extent.
     """
-    if x.data.ndim < 2 or weight.data.ndim < 2 or weight.size != weight.shape[0] * x.shape[1]:
+    if x.data.ndim < 2 or weight.data.ndim != 2 or weight.shape[1] != x.shape[1]:
         raise ShapeError(f"channel_linear: x {x.shape} incompatible with weight {weight.shape}")
     b, c = x.shape[:2]
     d = weight.shape[0]
-    w = weight.data.reshape(d, c)
+    w = weight.data
     if bias is not None and bias.shape != (d,):
         raise ShapeError(f"channel_linear: bias {bias.shape} incompatible with weight {weight.shape}")
     xs = x.data.reshape(b, c, -1)
@@ -300,8 +294,7 @@ def channel_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
 
     def backward(g):
         gs = g.reshape(b, d, -1)
-        dw = np.matmul(gs, xs.transpose(0, 2, 1)).sum(axis=0)
-        _accumulate(weight, dw.reshape(weight.shape))
+        _accumulate(weight, np.matmul(gs, xs.transpose(0, 2, 1)).sum(axis=0))
         _accumulate(x, np.matmul(w.T, gs).reshape(x.shape))
         if bias is not None:
             _accumulate(bias, gs.sum(axis=(0, 2)))
@@ -310,7 +303,7 @@ def channel_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
     return _make(y.reshape((b, d) + x.shape[2:]), parents, backward, "channel_linear")
 
 
-# -- temporal im2col -------------------------------------------------------------
+# -- the gated temporal block ----------------------------------------------------
 
 KERNEL_T = 3
 PAD_T = 1
@@ -320,74 +313,146 @@ def conv_time_length(t: int, stride: int) -> int:
     return (t + 2 * PAD_T - KERNEL_T) // stride + 1
 
 
-def time_columns(x: Tensor, stride: int) -> Tensor:
-    """The 1x3 temporal taps of x stacked as channels (im2col over time).
+def _taps(xf: np.ndarray, cols: np.ndarray, stride: int, t_out: int) -> None:
+    """Fill cols [b, c, 3, n*t_out] with the zero-padded 1x3 taps of xf.
 
-    x [b, c, n, t] -> [b, c*3, n, t_out], t_out = conv_time_length(t, stride),
-    with out[:, 3*j + k, :, u] = xp[:, j, :, stride*u + k] where xp is x
-    zero-padded by one step at each end: channel-major, then tap. That is
-    the row-major flatten of a [c_out, c, 1, 3] kernel w, so the node-wise
-    convolution is channel_linear(time_columns(x, s), w, bias). The taps
-    never span the node axis.
+    xf [b, c, n*t'] is x flattened over (node, time) with t' = stride*t_out,
+    so tap k of flat output p reads flat input stride*p + k - 1. Each tap is
+    one shifted (stride 1) or step-2 (stride 2) slice of the whole flat
+    axis. Where that slice reaches into the neighbouring node, the tap
+    should read the zero pad: those boundary columns are zeroed afterwards.
+    """
+    left, mid, right = cols[:, :, 0], cols[:, :, 1], cols[:, :, 2]
+    mid[...] = xf[..., ::stride]
+    if stride == 1:
+        left[..., 1:] = xf[..., :-1]
+        right[..., :-1] = xf[..., 1:]
+        right[..., t_out - 1::t_out] = 0
+    else:
+        left[..., 1:] = xf[..., 1:-1:2]
+        right[...] = xf[..., 1::2]
+    left[..., ::t_out] = 0
+
+
+def _taps_grad(dcols: np.ndarray, dxf: np.ndarray, stride: int, t_out: int) -> None:
+    """The adjoint of _taps: scatter dcols back into dxf, overwriting it.
+
+    The boundary columns of dcols, which read the pad, are zeroed in place.
+    """
+    left, mid, right = dcols[:, :, 0], dcols[:, :, 1], dcols[:, :, 2]
+    left[..., ::t_out] = 0
+    if stride == 1:
+        right[..., t_out - 1::t_out] = 0
+        dxf[...] = mid
+        dxf[..., :-1] += left[..., 1:]
+        dxf[..., 1:] += right[..., :-1]
+    else:
+        dxf[..., ::2] = mid
+        dxf[..., 1::2] = right
+        dxf[..., 1:-1:2] += left[..., 1:]
+
+
+def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gate_b: Tensor,
+                gamma: Tensor, beta: Tensor, stride: int, eps: float = 1e-5) -> Tensor:
+    """One gated node-wise temporal block, fused into a single op.
+
+    x [b, c, n, t] -> [b, d, n, t_out], t_out = conv_time_length(t, stride):
+    the product tanh(conv(x, embed_w) + embed_b) * sigmoid(conv(x, gate_w) +
+    gate_b), normalized over channels at each (sample, node, time), scaled
+    by gamma and shifted by beta. Both kernels are [d, c, 1, 3], 1x3 over
+    time with one zero step of padding at each end; they never span the
+    node axis. The taps of x are stacked as channels once (im2col: row
+    3*j + k holds tap k of channel j, the row-major flatten of a kernel),
+    and both convolutions are one GEMM per sample against the kernels
+    concatenated to [2d, 3c], so per-sample results are bitwise independent
+    of the batch extent. An odd t under stride 2 is padded by one trailing
+    zero step, which the last right tap reads in place of the padding.
+    Backward keeps the columns, the two activations, the normalized
+    product and 1/sigma.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"time_columns input must be 4-axis, got {x.shape}")
+        raise ShapeError(f"gated_block input must be 4-axis, got {x.shape}")
     if stride not in (1, 2):
-        raise ValueError(f"time_columns stride must be 1 or 2, got {stride}")
+        raise ValueError(f"gated_block stride must be 1 or 2, got {stride}")
     b, c, n, t = x.shape
+    d = embed_w.shape[0] if embed_w.shape else 0
+    if embed_w.shape != (d, c, 1, KERNEL_T) or gate_w.shape != embed_w.shape:
+        raise ShapeError(f"gated_block: kernels {embed_w.shape}/{gate_w.shape} "
+                         f"vs input {x.shape}, want [d, {c}, 1, {KERNEL_T}]")
+    if any(p.shape != (d,) for p in (embed_b, gate_b, gamma, beta)):
+        raise ShapeError(f"gated_block: biases {embed_b.shape}/{gate_b.shape} and affine "
+                         f"{gamma.shape}/{beta.shape} vs {d} output channels")
     t_out = conv_time_length(t, stride)
     if t_out < 1:
-        raise ShapeError(f"time_columns: time extent {t} collapses under stride {stride}")
+        raise ShapeError(f"gated_block: time extent {t} collapses under stride {stride}")
 
-    span = stride * (t_out - 1) + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (PAD_T, PAD_T)))
-    cols = np.empty((b, c, KERNEL_T, n, t_out), dtype=x.dtype)
-    for k in range(KERNEL_T):
-        cols[:, :, k] = xp[..., k:k + span:stride]
+    m = n * t_out
+    xd = x.data
+    if stride * t_out != t:
+        xd = np.pad(xd, ((0, 0), (0, 0), (0, 0), (0, stride * t_out - t)))
+    cols = np.empty((b, c, KERNEL_T, m), dtype=x.dtype)
+    _taps(xd.reshape(b, c, -1), cols, stride, t_out)
+    cols = cols.reshape(b, c * KERNEL_T, m)
+    w = np.concatenate((embed_w.data.reshape(d, -1), gate_w.data.reshape(d, -1)))
+    z = np.matmul(w, cols)
+    z += np.concatenate((embed_b.data, gate_b.data))[:, None]
+    e, s = z[:, :d], z[:, d:]
+    np.tanh(e, out=e)
+    # sigmoid as 0.5*(tanh(z/2)+1), overflow-free for any finite input
+    s *= 0.5
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
 
-    def backward(g):
-        g = g.reshape(b, c, KERNEL_T, n, t_out)
-        dxp = np.zeros((b, c, n, t + 2 * PAD_T), dtype=x.dtype)
-        for k in range(KERNEL_T):
-            dxp[..., k:k + span:stride] += g[:, :, k]
-        _accumulate(x, dxp[..., PAD_T:PAD_T + t])
-
-    return _make(cols.reshape(b, c * KERNEL_T, n, t_out), (x,), backward, "time_columns")
-
-
-# -- normalization --------------------------------------------------------------
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the channel axis to zero mean / unit variance, then scale+shift.
-
-    Statistics are per (batch, node, time) position, so the op is independent
-    of the time extent and never mixes nodes.
-    """
-    if x.data.ndim != 4:
-        raise ShapeError(f"layer_norm input must be 4-axis, got {x.shape}")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} vs channels {c}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
-
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = (x.data - mu) * inv_std
-    gshape = (1, c, 1, 1)
-    y = gamma.data.reshape(gshape) * xhat + beta.data.reshape(gshape)
+    xhat = e * s
+    xhat -= xhat.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True)
+                            + np.asarray(eps, dtype=x.dtype))
+    xhat *= inv_std
+    parents = (x, embed_w, embed_b, gate_w, gate_b, gamma, beta)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        y = gamma.data[:, None] * xhat
+    else:
+        y = xhat
+        y *= gamma.data[:, None]
+    y += beta.data[:, None]
 
     def backward(g):
-        _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-        _accumulate(beta, g.sum(axis=(0, 2, 3)))
-        gh = g * gamma.data.reshape(gshape)
-        m1 = gh.mean(axis=1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=1, keepdims=True)
-        _accumulate(x, inv_std * (gh - m1 - xhat * m2))
+        g = g.reshape(b, d, m)
+        _accumulate(gamma, (g * xhat).sum(axis=(0, 2)))
+        _accumulate(beta, g.sum(axis=(0, 2)))
+        dp = g * gamma.data[:, None]
+        m2 = (dp * xhat).mean(axis=1, keepdims=True)
+        dp -= dp.mean(axis=1, keepdims=True)
+        np.multiply(xhat, m2, out=xhat)
+        dp -= xhat
+        dp *= inv_std
+        # dz = [dp * s * (1 - e^2), dp * e * s * (1 - s)]; e and s are spent here
+        dz = np.empty((b, 2 * d, m), dtype=e.dtype)
+        de, ds = dz[:, :d], dz[:, d:]
+        np.multiply(dp, s, out=de)
+        np.multiply(dp, e, out=ds)
+        ds *= s
+        np.subtract(1.0, s, out=s)
+        ds *= s
+        np.square(e, out=e)
+        np.subtract(1.0, e, out=e)
+        de *= e
 
-    return _make(y, (x, gamma, beta), backward, "layer_norm")
+        db = dz.sum(axis=(0, 2))
+        _accumulate(embed_b, db[:d])
+        _accumulate(gate_b, db[d:])
+        dw = np.matmul(dz[0], cols[0].T)
+        for i in range(1, b):
+            dw += np.matmul(dz[i], cols[i].T)
+        _accumulate(embed_w, dw[:d].reshape(embed_w.shape))
+        _accumulate(gate_w, dw[d:].reshape(gate_w.shape))
+        if x.requires_grad:
+            dxf = np.empty((b, c, stride * m), dtype=x.dtype)
+            _taps_grad(np.matmul(w.T, dz).reshape(b, c, KERNEL_T, m), dxf, stride, t_out)
+            _accumulate(x, dxf.reshape(b, c, n, -1)[..., :t])
+
+    return _make(y.reshape(b, d, n, t_out), parents, backward, "gated_block")
 
 
 # -- correlation / edge ops ------------------------------------------------------

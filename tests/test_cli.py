@@ -316,6 +316,20 @@ class TestGradcheckCommand:
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out
 
+    def test_restepped_coordinate_is_named(self, monkeypatch, capsys):
+        import flowcast.tensor as T
+
+        def build(rng):
+            # x[0] is 3e-6 above the relu seam, inside the 1e-5 stencil
+            x = T.Tensor(np.array([3e-6, 1.0]), requires_grad=True, dtype=np.float64)
+            return {"x": x}, lambda: T.sum_over_axis(T.relu(x))
+
+        monkeypatch.setattr(gradcheck, "default_registry",
+                            lambda: [gradcheck.OpCase("near_kink", build)])
+        monkeypatch.setattr(gradcheck, "MODEL_VARIANTS", ())
+        assert main(["gradcheck"]) == 0
+        assert "re-stepped across a kink: x[0] h=1e-06" in capsys.readouterr().out
+
     def test_unknown_size_preset_rejected(self):
         assert main(["gradcheck", "--size", "huge"]) == 2
 

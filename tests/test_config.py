@@ -119,6 +119,15 @@ def test_type_error_names_the_key_path():
         C.from_dict({"model": {"lambda": "x"}})
 
 
+def test_rejected_value_is_echoed_short():
+    # the 401-digit integer is cut in the message; the key path stays
+    with pytest.raises(C.ConfigError) as exc:
+        C.from_dict({"train": {"lr0": 10**400}})
+    message = str(exc.value)
+    assert len(message) < 200
+    assert message.startswith("train.lr0 must be a finite number, got 1000")
+
+
 def test_float_fields_accept_ints_and_clip_accepts_null():
     cfg = C.from_dict({"model": {"lambda": 1}, "train": {"clip": None, "lr0": 1}})
     assert cfg.model.contrast_weight == 1 and cfg.train.clip is None

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import flowcast.tensor as T
 from flowcast import gradcheck
@@ -34,6 +35,57 @@ def _broken_case() -> gradcheck.OpCase:
 def test_broken_op_is_caught():
     results = gradcheck.run_all(seed=0, registry=[_broken_case()], include_model=False)
     assert not results[0].passed
+
+
+def _kink_case(name: str, op, data: np.ndarray, proj: np.ndarray) -> gradcheck.OpCase:
+    def build(rng):
+        x = T.Tensor(data.copy(), requires_grad=True, dtype=np.float64)
+        return {"x": x}, lambda: T.sum_over_axis(T.mul(op(x), T.Tensor(proj)))
+
+    return gradcheck.OpCase(name, build)
+
+
+def _edge_max_of_channels(x: T.Tensor) -> T.Tensor:
+    return T.edge_max(T.Tensor(np.ones((1, 1, 1, 1))), x)
+
+
+# x[0] sits 3e-6 from a kink, inside the 1e-5 stencil: below the relu seam,
+# or below the other channel's value under the channel max, where x[1]'s
+# stencil straddles the same tie
+NEAR_KINKS = [
+    ("relu", T.relu, np.array([3e-6, 1.0, -1.0]), np.array([0.7, -0.3, 0.5]),
+     ("x[0] h=1e-06",)),
+    ("edge_max", _edge_max_of_channels, np.array([1.0, 1.0 + 3e-6]).reshape(1, 2, 1, 1),
+     np.ones((1, 1, 1)), ("x[0] h=1e-06", "x[1] h=1e-06")),
+]
+
+
+@pytest.mark.parametrize("name,op,data,proj,restepped", NEAR_KINKS)
+def test_coordinate_straddling_a_kink_is_restepped_and_named(name, op, data, proj, restepped):
+    result = gradcheck.check_case(_kink_case(name, op, data, proj), seed=0)
+    assert result.passed, result
+    assert result.restepped == restepped
+
+
+def test_kink_is_what_fails_the_unstepped_stencil():
+    # the same relu case at the fixed step: the mixed slope fails the bound
+    case = _kink_case("relu", *NEAR_KINKS[0][1:4])
+    leaves, forward = case.build(np.random.default_rng(0))
+    flat = leaves["x"].data.reshape(-1)
+    flat[0] += gradcheck.FD_STEP
+    plus = float(forward().data)
+    flat[0] -= 2 * gradcheck.FD_STEP
+    minus = float(forward().data)
+    fd = (plus - minus) / (2 * gradcheck.FD_STEP)
+    assert gradcheck.relative_error(fd, 0.7) > gradcheck.TOLERANCE
+
+
+def test_coordinate_on_a_kink_still_fails():
+    # x[0] = 0 exactly: every step straddles the seam, so no re-step resolves it
+    case = _kink_case("relu", T.relu, np.array([0.0, 1.0, -1.0]), np.array([0.7, -0.3, 0.5]))
+    result = gradcheck.check_case(case, seed=0)
+    assert not result.passed
+    assert result.restepped == ("x[0] h=1e-08",)
 
 
 def test_relative_error_floors_tiny_denominators():

@@ -215,16 +215,14 @@ class TestEquivariance:
 
 class TestTrainingGraph:
     def test_default_graph_op_multiset_is_pinned(self):
-        # 7 gated blocks (time_columns, 2 channel_linear, tanh, sigmoid, mul,
-        # layer_norm), the edge block, a head that maps only the slices it
+        # 7 gated blocks, the edge block, a head that maps only the slices it
         # reads, and Huber + lambda * contrastive
         model, x = model_and_input(cfg=ModelConfig())
         yhat, state = model.forward(x)
         loss, _, _ = total_loss(yhat, T.Tensor(np.zeros((2, 12, 5), dtype=np.float32)),
                                 state.f_g, state.f_gr)
         ops = Counter(node.op for node in T._topo_order(loss) if node.op != "leaf")
-        assert ops == {"time_columns": 7, "channel_linear": 23, "tanh": 8, "sigmoid": 7,
-                       "mul": 10, "layer_norm": 7, "take_time": 4, "cosine_correlate": 1,
-                       "edge_max": 1, "neg": 1, "relu": 3, "edge_mix": 2, "add": 4,
-                       "sum": 1, "huber": 1}
-        assert sum(ops.values()) == 80
+        assert ops == {"gated_block": 7, "channel_linear": 9, "tanh": 1, "mul": 3,
+                       "take_time": 4, "cosine_correlate": 1, "edge_max": 1, "neg": 1,
+                       "relu": 3, "edge_mix": 2, "add": 4, "sum": 1, "huber": 1}
+        assert sum(ops.values()) == 38

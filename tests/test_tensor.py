@@ -10,19 +10,73 @@ def t64(data, requires_grad=False):
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
+def block_reference(x, embed_w, embed_b, gate_w, gate_b, gamma, beta, stride, eps=1e-5):
+    """The gated block in float64 numpy: zero-padded 1x3 taps, tanh * sigmoid,
+    then the channel layer norm."""
+    x, embed_w, embed_b, gate_w, gate_b, gamma, beta = (
+        np.asarray(a, dtype=np.float64)
+        for a in (x, embed_w, embed_b, gate_w, gate_b, gamma, beta))
+    xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (1, 1)))
+    t_out = (x.shape[-1] - 1) // stride + 1
+    windows = np.stack([xp[..., stride * u:stride * u + 3] for u in range(t_out)], axis=3)
+
+    def conv(k, bias):
+        return np.einsum("oik,binuk->bonu", k[:, :, 0], windows) + bias[:, None, None]
+
+    p = np.tanh(conv(embed_w, embed_b)) / (1.0 + np.exp(-conv(gate_w, gate_b)))
+    xhat = (p - p.mean(axis=1, keepdims=True)) / np.sqrt(p.var(axis=1, keepdims=True) + eps)
+    return gamma[:, None, None] * xhat + beta[:, None, None]
+
+
+def block_params(rng, c_in, c_out, dtype=np.float32):
+    """embed_w, embed_b, gate_w, gate_b, gamma, beta drawn from rng."""
+    def draw(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    return (draw(c_out, c_in, 1, 3), draw(c_out), draw(c_out, c_in, 1, 3), draw(c_out),
+            1.0 + 0.1 * draw(c_out), draw(c_out))
+
+
+def block(x, *params, stride=1):
+    """gated_block on raw arrays; params in gated_block's order."""
+    return T.gated_block(T.Tensor(x), *(T.Tensor(p) for p in params), stride)
+
+
+def gate_only(c_in, c_out, embed_w, gate_b, dtype=np.float64):
+    """Block params with the given embedding kernel and gate bias, a zero gate
+    kernel and embedding bias, unit gamma and zero beta."""
+    zeros = np.zeros(c_out, dtype=dtype)
+    return (np.asarray(embed_w, dtype=dtype), zeros, np.zeros((c_out, c_in, 1, 3), dtype=dtype),
+            np.full(c_out, gate_b, dtype=dtype), np.ones(c_out, dtype=dtype), zeros)
+
+
 class TestElementwise:
     def test_tanh_zero(self):
         assert T.tanh(t64([0.0])).data.item() == 0.0
 
     def test_sigmoid_zero(self):
-        assert T.sigmoid(t64([0.0])).data.item() == 0.5
+        # a zero gate pre-activation opens the gate to exactly 0.5; with an
+        # embedding small enough that eps matters, the norm shows the factor
+        a = 2e-3
+        embed_w = np.array([a, -a]).reshape(2, 1, 1, 1) * [0.0, 1.0, 0.0]
+        out = block(np.ones((1, 1, 1, 1)), *gate_only(1, 2, embed_w, 0.0)).data.ravel()
+        p = 0.5 * np.tanh(a)
+        assert np.allclose(out, [p / np.sqrt(p * p + 1e-5), -p / np.sqrt(p * p + 1e-5)],
+                           rtol=1e-12, atol=0)
 
     def test_relu_negative(self):
         assert T.relu(t64([-3.0])).data.item() == 0.0
 
     def test_sigmoid_saturates_without_overflow(self):
-        out = T.sigmoid(t64([-500.0, 500.0]))
-        assert np.allclose(out.data, [0.0, 1.0])
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(1, 2, 3, 4))
+        embed_w = rng.normal(size=(3, 2, 1, 3))
+        with np.errstate(over="raise", invalid="raise"):
+            shut = block(x, *gate_only(2, 3, embed_w, -500.0)).data
+            wide = block(x, *gate_only(2, 3, embed_w, 500.0)).data
+        assert np.array_equal(shut, np.zeros_like(shut))       # gate 0: only beta is left
+        want = block_reference(x, *gate_only(2, 3, embed_w, 500.0), stride=1)
+        assert np.allclose(wide, want, rtol=0, atol=1e-12)
 
     def test_binary_shape_mismatch_names_both_shapes(self):
         with pytest.raises(T.ShapeError) as exc:
@@ -39,11 +93,6 @@ class TestElementwise:
         assert T.mul(T.sum_over_axis(a), T.sum_over_axis(a)).dtype == np.float64
 
 
-def conv(x, kernel, bias, stride):
-    """The encoder's 1x3 node-wise convolution, kernel [c_out, c_in, 1, 3]."""
-    return T.channel_linear(T.time_columns(x, stride), kernel, bias)
-
-
 class TestConvLengths:
     @pytest.mark.parametrize("t,stride,expected", [(12, 1, 12), (12, 2, 6), (3, 2, 2)])
     def test_length_formula(self, t, stride, expected):
@@ -51,27 +100,27 @@ class TestConvLengths:
 
     def test_conv_output_shape(self):
         rng = np.random.default_rng(0)
-        x = T.Tensor(rng.normal(size=(2, 3, 4, 12)).astype(np.float32))
-        k = T.Tensor(rng.normal(size=(5, 3, 1, 3)).astype(np.float32))
-        b = T.Tensor(np.zeros(5, dtype=np.float32))
-        assert conv(x, k, b, stride=2).shape == (2, 5, 4, 6)
+        x = rng.normal(size=(2, 3, 4, 12)).astype(np.float32)
+        out = block(x, *block_params(rng, 3, 5), stride=2)
+        assert out.shape == (2, 5, 4, 6) and out.dtype == np.float32
 
     def test_conv_rejects_bad_kernel(self):
-        x = T.Tensor(np.zeros((1, 2, 3, 12), dtype=np.float32))
-        k = T.Tensor(np.zeros((4, 2, 1, 5), dtype=np.float32))
-        b = T.Tensor(np.zeros(4, dtype=np.float32))
+        x = np.zeros((1, 2, 3, 12), dtype=np.float32)
+        k = np.zeros((4, 2, 1, 5), dtype=np.float32)
+        b = np.zeros(4, dtype=np.float32)
         with pytest.raises(T.ShapeError):
-            conv(x, k, b, stride=1)
+            block(x, k, b, k, b, b + 1, b, stride=1)
 
     def test_conv_node_independence_is_bitwise(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 5, 12)).astype(np.float32)
-        k = T.Tensor(rng.normal(size=(4, 3, 1, 3)).astype(np.float32))
-        b = T.Tensor(rng.normal(size=4).astype(np.float32))
-        base = conv(T.Tensor(x), k, b, stride=1).data
+        k = rng.normal(size=(4, 3, 1, 3)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        params = (k, b, k[::-1].copy(), -b, np.ones(4, np.float32), np.zeros(4, np.float32))
+        base = block(x, *params).data
         bumped = x.copy()
         bumped[:, :, 2, :] += 7.5
-        out = conv(T.Tensor(bumped), k, b, stride=1).data
+        out = block(bumped, *params).data
         others = [j for j in range(5) if j != 2]
         assert np.array_equal(base[:, :, others, :], out[:, :, others, :])
         assert not np.array_equal(base[:, :, 2, :], out[:, :, 2, :])
@@ -81,36 +130,70 @@ class TestConvLengths:
         # a wrong column order (tap-major, or taps reversed) fails this
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3, 4, 9))
-        k = rng.normal(size=(5, 3, 1, 3))
-        b = rng.normal(size=5)
-        xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (1, 1)))
-        t_out = T.conv_time_length(9, stride)
-        want = np.empty((2, 5, 4, t_out))
-        for u in range(t_out):
-            window = xp[..., stride * u:stride * u + 3]          # [b, c_in, n, 3]
-            want[..., u] = np.einsum("oik,bink->bon", k[:, :, 0], window) + b[:, None]
-        got = conv(T.Tensor(x.astype(np.float32)), T.Tensor(k.astype(np.float32)),
-                   T.Tensor(b.astype(np.float32)), stride).data
+        params = block_params(rng, 3, 5, dtype=np.float64)
+        want = block_reference(x, *params, stride=stride)
+        got = block(x.astype(np.float32), *(p.astype(np.float32) for p in params), stride=stride)
         assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert np.abs(got.data - want).max() <= 1e-5 * np.abs(want).max()
+
+
+class TestGatedBlock:
+    @pytest.mark.parametrize("t", [12, 9, 3, 2, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_float64_reference(self, stride, t):
+        # odd t under stride 2 reads the trailing pad; every t has boundary
+        # tap columns that the flat shifts must zero
+        rng = np.random.default_rng(10 * t + stride)
+        x = rng.normal(size=(3, 4, 5, t))
+        params = block_params(rng, 4, 6, dtype=np.float64)
+        got = block(x, *params, stride=stride).data
+        want = block_reference(x, *params, stride=stride)
+        assert got.shape == want.shape == (3, 6, 5, T.conv_time_length(t, stride))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("index,shape", [(0, (5, 3, 1, 2)), (2, (5, 3, 1, 3, 1)),
+                                             (0, (5, 2, 1, 3)), (1, (4,)), (3, (5, 1)),
+                                             (4, (6,)), (5, ())])
+    def test_rejects_bad_parameter_shape(self, index, shape):
+        rng = np.random.default_rng(0)
+        params = list(block_params(rng, 3, 5))
+        params[index] = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(T.ShapeError):
+            block(np.zeros((2, 3, 4, 6), dtype=np.float32), *params)
+
+    @pytest.mark.parametrize("stride", [0, 3])
+    def test_rejects_stride_other_than_1_or_2(self, stride):
+        params = block_params(np.random.default_rng(0), 3, 5)
+        with pytest.raises(ValueError):
+            block(np.zeros((2, 3, 4, 6), dtype=np.float32), *params, stride=stride)
+
+    def test_rejects_non_4_axis_input(self):
+        params = block_params(np.random.default_rng(0), 3, 5)
+        with pytest.raises(T.ShapeError):
+            block(np.zeros((3, 4, 6), dtype=np.float32), *params)
 
 
 class TestLayerNorm:
+    """The channel layer norm at the end of gated_block."""
+
     def test_constant_channels_normalize_to_zero(self):
-        x = T.Tensor(np.full((1, 4, 2, 3), 7.0, dtype=np.float64))
-        out = T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)))
-        assert np.allclose(out.data, 0.0)
+        # identical kernel rows give a product that is constant over channels
+        x = np.full((1, 2, 2, 3), 7.0)
+        k = np.full((4, 2, 1, 3), 0.1)
+        params = (k, np.zeros(4), k, np.zeros(4), np.ones(4), np.zeros(4))
+        assert np.allclose(block(x, *params).data, 0.0)
 
     def test_unit_variance_preserved(self):
-        x = T.Tensor(np.array([1.0, -1.0], dtype=np.float64).reshape(1, 2, 1, 1))
-        out = T.layer_norm(x, t64(np.ones(2)), t64(np.zeros(2)))
+        # a product of (p, -p) over two channels normalizes to (1, -1)
+        embed_w = np.array([1.0, -1.0]).reshape(2, 1, 1, 1) * [0.0, 1.0, 0.0]
+        out = block(np.ones((1, 1, 1, 1)), *gate_only(1, 2, embed_w, 30.0))
         assert np.allclose(out.data.ravel(), [1.0, -1.0], atol=1e-4)
 
     def test_zero_gamma_yields_beta(self):
         rng = np.random.default_rng(2)
-        x = T.Tensor(rng.normal(size=(2, 3, 2, 2)))
-        out = T.layer_norm(x, t64(np.zeros(3)), t64(np.full(3, 5.0)))
-        assert np.allclose(out.data, 5.0)
+        x = rng.normal(size=(2, 3, 2, 2))
+        params = block_params(rng, 3, 3, dtype=np.float64)[:4] + (np.zeros(3), np.full(3, 5.0))
+        assert np.allclose(block(x, *params).data, 5.0)
 
 
 def cosine(a, b) -> float:
@@ -244,6 +327,14 @@ class TestBackward:
         assert mid.grad is None and mid._backward_fn is None and mid._parents == ()
         assert np.allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
 
+    def test_first_gradient_is_a_copy_in_the_tensors_dtype(self):
+        x = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        T._accumulate(x, g)
+        assert x.grad.dtype == np.float32 and not np.shares_memory(x.grad, g)
+        T._accumulate(x, g)
+        assert np.array_equal(g, [1.0, 2.0, 3.0]) and np.array_equal(x.grad, [2.0, 4.0, 6.0])
+
     def test_grad_accumulates_across_uses(self):
         x = t64([3.0], requires_grad=True)
         T.sum_over_axis(T.add(T.mul(x, x), x)).backward()
@@ -265,11 +356,7 @@ class TestDeterminism:
     def test_identical_seeds_bitwise_identical_outputs(self):
         def run():
             rng = np.random.default_rng(42)
-            x = T.Tensor(rng.normal(size=(2, 3, 4, 12)).astype(np.float32))
-            k = T.Tensor(rng.normal(size=(5, 3, 1, 3)).astype(np.float32))
-            b = T.Tensor(rng.normal(size=5).astype(np.float32))
-            return T.layer_norm(T.tanh(conv(x, k, b, stride=2)),
-                                T.Tensor(np.ones(5, dtype=np.float32)),
-                                T.Tensor(np.zeros(5, dtype=np.float32))).data
+            x = rng.normal(size=(2, 3, 4, 12)).astype(np.float32)
+            return block(x, *block_params(rng, 3, 5), stride=2).data
 
         assert np.array_equal(run(), run())
