@@ -55,15 +55,9 @@ def relative_error(a: float, b: float) -> float:
 
 
 def _kinks(loss: T.Tensor) -> list[np.ndarray]:
-    """The relu masks and edge-max argmaxes of a recorded graph, in graph order."""
-    found = []
-    for node in T._topo_order(loss):
-        if node.op == "relu":
-            found.append(node._parents[0].data > 0)
-        elif node.op == "edge_max":
-            corr, feat = (p.data for p in node._parents)
-            found.append(np.einsum("bkit,bcit->bkic", corr, feat).argmax(axis=-1))
-    return found
+    """The kink state (relu masks, edge-max argmaxes) of a recorded graph, in
+    graph order, as the ops themselves recorded it."""
+    return [node.kinks for node in T._topo_order(loss) if node.kinks is not None]
 
 
 def _central_difference(forward, flat: np.ndarray, c: int) -> tuple[float, float]:
@@ -73,13 +67,12 @@ def _central_difference(forward, flat: np.ndarray, c: int) -> tuple[float, float
     h = FD_STEP
     try:
         while True:
-            # the kinks are read before the next evaluation moves the leaf
             flat[c] = orig + h
             plus = forward()
-            kinks_plus = _kinks(plus)
             flat[c] = orig - h
             minus = forward()
-            straddles = any(not np.array_equal(a, b) for a, b in zip(kinks_plus, _kinks(minus)))
+            straddles = any(not np.array_equal(a, b)
+                            for a, b in zip(_kinks(plus), _kinks(minus)))
             if not straddles or h / 10 < MIN_FD_STEP:
                 return (float(plus.data) - float(minus.data)) / (2.0 * h), h
             h /= 10

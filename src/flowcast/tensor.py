@@ -69,7 +69,7 @@ def no_grad():
 class Tensor:
     """A dense array plus optional gradient and autodiff linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "op", "kinks")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, op: str = "leaf"):
         if isinstance(data, Tensor):
@@ -85,6 +85,9 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
         self.op = op
+        # a recorded op whose output is piecewise in its inputs keeps the
+        # piece it took here (a relu mask, an argmax)
+        self.kinks: np.ndarray | None = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -154,13 +157,15 @@ def _finite_check(arr: np.ndarray, opname: str) -> None:
         raise FloatingPointError(f"non-finite values produced by op '{opname}'")
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str,
+          kinks: np.ndarray | None = None) -> Tensor:
     _finite_check(data, op)
     out = Tensor(data, op=op)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
+        out.kinks = kinks
     return out
 
 
@@ -235,7 +240,8 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, g * mask)
 
-    return _make(np.where(mask, a.data, 0.0).astype(a.dtype, copy=False), (a,), backward, "relu")
+    return _make(np.where(mask, a.data, 0.0).astype(a.dtype, copy=False), (a,), backward, "relu",
+                 kinks=mask)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -409,12 +415,7 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
     inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True)
                             + np.asarray(eps, dtype=x.dtype))
     xhat *= inv_std
-    parents = (x, embed_w, embed_b, gate_w, gate_b, gamma, beta)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        y = gamma.data[:, None] * xhat
-    else:
-        y = xhat
-        y *= gamma.data[:, None]
+    y = gamma.data[:, None] * xhat
     y += beta.data[:, None]
 
     def backward(g):
@@ -452,7 +453,8 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
             _taps_grad(np.matmul(w.T, dz).reshape(b, c, KERNEL_T, m), dxf, stride, t_out)
             _accumulate(x, dxf.reshape(b, c, n, -1)[..., :t])
 
-    return _make(y.reshape(b, d, n, t_out), parents, backward, "gated_block")
+    return _make(y.reshape(b, d, n, t_out), (x, embed_w, embed_b, gate_w, gate_b, gamma, beta),
+                 backward, "gated_block")
 
 
 # -- correlation / edge ops ------------------------------------------------------
@@ -544,7 +546,7 @@ def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
         _accumulate(corr, dcorr)
         _accumulate(feat, dfeat)
 
-    return _make(y, (corr, feat), backward, "edge_max")
+    return _make(y, (corr, feat), backward, "edge_max", kinks=idx)
 
 
 def edge_mix(corr: Tensor, feat: Tensor, adj: Tensor) -> Tensor:

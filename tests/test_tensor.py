@@ -134,7 +134,7 @@ class TestConvLengths:
         want = block_reference(x, *params, stride=stride)
         got = block(x.astype(np.float32), *(p.astype(np.float32) for p in params), stride=stride)
         assert got.shape == want.shape
-        assert np.abs(got.data - want).max() <= 1e-5 * np.abs(want).max()
+        assert np.abs(got.data - want).max() <= 1e-6 * np.abs(want).max()
 
 
 class TestGatedBlock:
@@ -258,6 +258,19 @@ class TestLinAlg:
         with T.no_grad():
             plain = T.edge_max(s, f)
         assert np.array_equal(plain.data, T.edge_max(s, f).data)
+
+    def test_recorded_kinks_are_the_relu_mask_and_the_edge_max_argmax(self):
+        rng = np.random.default_rng(5)
+        s, f = rng.uniform(-1, 1, size=(2, 4, 4, 3)), rng.normal(size=(2, 5, 4, 3))
+        rel = np.einsum("bkit,bcit->bkic", s, f)
+        out = T.edge_max(t64(s, requires_grad=True), t64(f))
+        assert np.array_equal(out.kinks, rel.argmax(axis=-1))
+        x = rng.normal(size=(2, 3))
+        assert np.array_equal(T.relu(t64(x, requires_grad=True)).kinks, x > 0)
+        # nothing is kept when no graph is recorded
+        assert T.relu(t64(x)).kinks is None
+        with T.no_grad():
+            assert T.edge_max(t64(s, requires_grad=True), t64(f)).kinks is None
 
     def test_edge_mix_is_the_relation_aggregated_through_adj(self):
         rng = np.random.default_rng(4)
