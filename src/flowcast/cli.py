@@ -45,8 +45,13 @@ def _prepare_from_config(cfg: C.RunConfig) -> PreparedData:
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """Write doc atomically. A NaN or an infinity in it is a NumericalError,
+    and any earlier file at path stays as it was."""
     with ckpt.write_atomic(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        try:
+            json.dump(doc, fh, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NumericalError(f"{path} not written: {exc}") from None
         fh.write("\n")
 
 

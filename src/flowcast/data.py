@@ -2,7 +2,8 @@
 
 Sources are T x N matrices of vehicle counts per 5-minute interval, either
 as headerless CSV (literal ``nan`` marks a missing cell; so does any other
-non-finite value, ``inf`` included) or as the packed
+non-finite value, ``inf`` included, and any value beyond float32 range,
+such as ``1e39``) or as the packed
 binary format described in the README (magic ``ESGCNDS1``, JSON header,
 float32 payload, optional missing-value mask).
 
@@ -73,11 +74,13 @@ def load_csv(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
         raise DataError(f"malformed csv {path}: {exc}") from None
     if values.size == 0:
         raise DataError(f"empty data file: {path}")
+    with np.errstate(over="ignore"):
+        values = values.astype(np.float32)     # beyond float32 range -> inf, masked
     mask = ~np.isfinite(values)
     if zeros_as_missing:
         mask |= values == 0.0
-    values = np.where(mask, 0.0, values)
-    return SeriesDataset(values.astype(np.float32), mask, name=str(path))
+    values = np.where(mask, np.float32(0.0), values)
+    return SeriesDataset(values, mask, name=str(path))
 
 
 def load_bin(path: str, zeros_as_missing: bool = False) -> SeriesDataset:

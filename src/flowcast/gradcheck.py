@@ -13,6 +13,11 @@ A stencil that straddles a kink measures a mix of two slopes. When the two
 evaluations of a coordinate disagree on a relu mask or an edge-max argmax,
 the coordinate is re-stepped with a tenfold smaller h, down to
 MIN_FD_STEP, and the result names it.
+
+The error of a coordinate is relative to the larger of the two estimates,
+floored at what the central difference can resolve: about eps64 * |loss| / h
+(``resolution_floor``), so that float64 rounding at a coordinate whose
+gradient is exactly 0 does not read as error at any loss scale.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from . import tensor as T
 FD_STEP = 1e-5
 MIN_FD_STEP = 1e-8         # smallest re-step of a coordinate that straddles a kink
 TOLERANCE = 1e-4
-REL_ERR_FLOOR = 1e-6       # denominator floor of the relative error
+REL_ERR_FLOOR = 1e-6       # least denominator floor of the relative error
+ROUNDING_ULPS = 32         # float64 ulps of |loss| by which f(x+h) - f(x-h) may round
 POINTS_PER_LEAF = 10
 MODEL_POINTS_PER_LEAF = 6  # sampled coordinates per parameter in the full-model cases
 
@@ -50,8 +56,17 @@ class CheckResult:
         return self.max_rel_err < TOLERANCE
 
 
-def relative_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), REL_ERR_FLOOR)
+def relative_error(a: float, b: float, floor: float = REL_ERR_FLOOR) -> float:
+    return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def resolution_floor(loss: float, h: float) -> float:
+    """The relative error's denominator floor at step h: rounding of
+    ROUNDING_ULPS ulps of |loss| moves the central difference by
+    ROUNDING_ULPS * eps * |loss| / 2h, which must read below TOLERANCE. A
+    coordinate whose gradient is exactly 0 then meets rounding, not error."""
+    rounding = ROUNDING_ULPS * np.finfo(np.float64).eps * abs(loss) / (2.0 * h)
+    return max(REL_ERR_FLOOR, rounding / TOLERANCE)
 
 
 def _kinks(loss: T.Tensor) -> list[np.ndarray]:
@@ -93,6 +108,7 @@ def check_case(case: OpCase, seed: int, points_per_leaf: int = POINTS_PER_LEAF) 
     loss.backward()
     grads = {k: (leaf.grad.copy() if leaf.grad is not None else np.zeros_like(leaf.data))
              for k, leaf in leaves.items()}
+    value = float(loss.data)
 
     coord_rng = np.random.default_rng(seed + 1)
     max_err = 0.0
@@ -110,7 +126,7 @@ def check_case(case: OpCase, seed: int, points_per_leaf: int = POINTS_PER_LEAF) 
             if h != FD_STEP:
                 restepped.append(f"{key}[{c}] h={h:.0e}")
             ad = float(grads[key].reshape(-1)[c])
-            max_err = max(max_err, relative_error(fd, ad))
+            max_err = max(max_err, relative_error(fd, ad, resolution_floor(value, h)))
             points += 1
     return CheckResult(case.name, max_err, points, tuple(restepped))
 

@@ -14,8 +14,9 @@ Pipeline per forward pass:
 5. squeeze R's channel axis (max by default), tanh, and rectify into the
    adjacency matrix A and its sign-reversed counterpart A_r - the two are
    elementwise disjoint by construction and live in [0, 1). The max is the
-   fused ``edge_max``, which forms R one sample at a time; the channel mean
-   of R is sum_t S * mean_c(F4) and needs no R at all;
+   fused ``edge_max``, which forms R in cache-sized blocks of (sample,
+   source) pairs and reduces each block at once; the channel mean of R is
+   sum_t S * mean_c(F4) and needs no R at all;
 6. aggregate R with each adjacency and map through a shared linear layer.
    ``edge_mix`` contracts S, F4 and A by associativity as one batched
    matmul, a GEMM per sample, so R is not formed here either. The A_r

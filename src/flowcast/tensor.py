@@ -21,8 +21,9 @@ is bitwise the same whether or not it is part of a larger batch:
   the concatenated kernels, then the tanh/sigmoid gate and the channel
   layer norm in place. Its backward keeps five arrays, not a chain of
   seven nodes;
-* ``edge_max`` loops over samples so that it holds the b x c x n x n
-  relational tensor one sample at a time. ``edge_mix`` never forms that
+* ``edge_max`` forms the b x c x n x n relational tensor in cache-sized
+  blocks of (sample, source) pairs, one GEMM per pair, and reduces each
+  block over channels before the next. ``edge_mix`` never forms that
   tensor: it contracts it away by associativity.
 """
 
@@ -459,6 +460,8 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
 
 # -- correlation / edge ops ------------------------------------------------------
 
+EDGE_BLOCK = 1 << 17   # elements of R that edge_max forms at once: 512 KiB in float32
+
 
 def cosine_correlate(rep: Tensor, feat: Tensor, eps: float = 1e-8) -> Tensor:
     """Cosine similarity over channels between representatives and features.
@@ -512,9 +515,11 @@ def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
 
     corr [b, n_tgt, n_src, l], feat [b, c, n_src, l] -> [b, n_tgt, n_src] with
     out[b, k, i] = max_c R[b, c, i, k], R[b, c, i, k] = sum_t corr[b, k, i, t]
-    * feat[b, c, i, t]. R is formed one sample at a time and dropped; only
-    the argmax channel survives for backward, which gathers and scatters
-    through it. Ties break toward the lowest channel.
+    * feat[b, c, i, t]. R is formed in blocks of (sample, source) pairs of at
+    most EDGE_BLOCK elements, one GEMM per pair, and each block is reduced
+    while it is in cache. Only the argmax channel survives for backward, which
+    gathers and scatters through it; it is found only when a graph is
+    recorded. Ties break toward the lowest channel.
     """
     _edge_operands("edge_max", corr, feat)
     b, c, n, l = feat.shape
@@ -522,14 +527,29 @@ def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
     record = _grad_enabled and (corr.requires_grad or feat.requires_grad)
     y = np.empty((b, k, n), dtype=feat.dtype)
     idx = np.empty((b, k, n), dtype=np.intp) if record else None
-    for s in range(b):
-        # one GEMM per source node i: [k, l] @ [l, c] -> rel [i, k, c], channels
-        # last so that the max and argmax run over contiguous rows
-        rel = np.matmul(corr.data[s].transpose(1, 0, 2), feat.data[s].transpose(1, 2, 0))
-        best = rel.argmax(axis=2)          # faster than rel.max over rows of c
-        y[s] = np.take_along_axis(rel, best[..., None], axis=2)[..., 0].T
-        if record:
-            idx[s] = best.T
+    # per pair (s, i) one GEMM rel[c, k] = feat[s, :, i, :] @ corr[s, :, i, :]^T,
+    # written channels-outermost so that the max over c is elementwise over rows
+    feat_si = feat.data.transpose(0, 2, 1, 3)          # [b, i, c, l]
+    corr_si = corr.data.transpose(0, 2, 3, 1)          # [b, i, l, k]
+    step = max(1, EDGE_BLOCK // (c * k))                # sources per block
+    per = max(1, step // n)                             # whole samples per block
+    span = min(step, n)
+    buf = np.empty(c * min(per, b) * span * k, dtype=y.dtype)
+    # c - first channel at the max, as the max of a reversed channel index
+    rev = (c - np.arange(c)).astype(np.min_scalar_type(c))[:, None, None, None]
+    y_si = y.transpose(0, 2, 1)
+    idx_si = idx.transpose(0, 2, 1) if record else None
+    for s0 in range(0, b, per):
+        s1 = min(s0 + per, b)
+        for i0 in range(0, n, span):
+            i1 = min(i0 + span, n)
+            rel = buf[:c * (s1 - s0) * (i1 - i0) * k].reshape(c, s1 - s0, i1 - i0, k)
+            np.matmul(feat_si[s0:s1, i0:i1], corr_si[s0:s1, i0:i1], out=rel.transpose(1, 2, 0, 3))
+            top = rel.max(axis=0)
+            y_si[s0:s1, i0:i1] = top
+            if record:
+                hit = (rel == top).view(np.uint8) * rev
+                idx_si[s0:s1, i0:i1] = (c - hit.max(axis=0)) % c
 
     def backward(g):
         dcorr = np.empty_like(corr.data)

@@ -10,6 +10,7 @@ from flowcast import checkpoint as ckpt
 from flowcast import gradcheck
 from flowcast.cli import _write_json, _write_train_log, main
 from flowcast.data import BIN_MAGIC
+from flowcast.optim import NumericalError
 from flowcast.synthetic import sinusoid_dataset
 from malformed import BAD_TYPE_CONFIGS, framed, json_values, payload_of
 
@@ -78,24 +79,35 @@ class TestTrain:
         assert main(["eval", str(tmp_path / "binout" / "best.ckpt"),
                      "--out", str(tmp_path / "bineval")]) == 0
 
-    def test_inf_cell_is_missing_and_metrics_stay_finite(self, tmp_path):
+    @staticmethod
+    def _train_with_cell(tmp_path, value, text):
+        """Train 1 epoch on a 150-step, 4-node CSV whose cell [140, 1] is value;
+        the test metrics of metrics.json, read with no NaN/Infinity allowed."""
         values = sinusoid_dataset(nodes=4, steps=150, seed=2).values.astype(np.float64)
-        values[140, 1] = np.inf
-        np.savetxt(tmp_path / "inf.csv", values, delimiter=",", fmt="%.4f")
-        cfg = {"data": {"path": str(tmp_path / "inf.csv"), "format": "csv"},
+        values[140, 1] = value
+        np.savetxt(tmp_path / "cell.csv", values, delimiter=",", fmt="%.4f")
+        cfg = {"data": {"path": str(tmp_path / "cell.csv"), "format": "csv"},
                "model": {"channels": [8, 8, 8, 8], "head_hidden": 8},
                "train": {"epochs": 1, "batch_size": 16, "seed": 0},
                "output": {"dir": str(tmp_path / "out")}}
-        (tmp_path / "inf.json").write_text(json.dumps(cfg))
-        assert "inf" in (tmp_path / "inf.csv").read_text()
-        assert main(["train", "--config", str(tmp_path / "inf.json")]) == 0
+        (tmp_path / "cell.json").write_text(json.dumps(cfg))
+        assert text in (tmp_path / "cell.csv").read_text()
+        assert main(["train", "--config", str(tmp_path / "cell.json")]) == 0
 
         def reject(name):
             raise ValueError(f"non-finite number {name} in metrics.json")
 
         text = (tmp_path / "out" / "metrics.json").read_text()
-        metrics = json.loads(text, parse_constant=reject)
-        assert np.isfinite(metrics["test"]["rmse"])
+        return json.loads(text, parse_constant=reject)["test"]
+
+    def test_inf_cell_is_missing_and_metrics_stay_finite(self, tmp_path):
+        metrics = self._train_with_cell(tmp_path, np.inf, "inf")
+        assert np.isfinite(metrics["rmse"])
+
+    def test_cell_beyond_float32_is_missing_and_metrics_stay_finite(self, tmp_path):
+        # 1e39 is finite in float64 and inf in float32
+        metrics = self._train_with_cell(tmp_path, 1e39, f"{1e39:.4f}")
+        assert all(np.isfinite(v) for v in metrics.values())
 
     def test_use_es_false_trains_and_has_no_adjacency(self, cli_workspace, tmp_path):
         doc = json.loads((cli_workspace / "cfg.json").read_text())
@@ -128,6 +140,35 @@ def test_failed_json_write_keeps_the_earlier_file(tmp_path):
         _write_json(str(path), {"rmse": 2.0, "bad": object()})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+
+def test_non_finite_json_value_is_a_numerical_error_and_no_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    _write_json(str(path), {"rmse": 1.0})
+    before = path.read_bytes()
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NumericalError, match="metrics.json"):
+            _write_json(str(path), {"test": {"rmse": 2.0, "mae": bad}})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+
+def test_eval_of_a_model_emitting_inf_exits_4_and_writes_no_metrics(
+        cli_workspace, tmp_path, monkeypatch, capsys):
+    from flowcast.model import Forecaster
+
+    forward = Forecaster.forward
+
+    def emit_inf(self, x):
+        yhat, state = forward(self, x)
+        yhat.data[0, 0, 0] = np.inf
+        return yhat, state
+
+    monkeypatch.setattr(Forecaster, "forward", emit_inf)
+    rc = main(["eval", str(cli_workspace / "out" / "best.ckpt"), "--out", str(tmp_path / "e")])
+    assert rc == 4
+    assert "metrics.json" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "metrics.json").exists()
 
 
 def test_failed_csv_write_keeps_the_earlier_file(tmp_path):

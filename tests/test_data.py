@@ -37,6 +37,13 @@ class TestCsvLoading:
         with pytest.raises(D.DataError):
             D.load_csv(write(tmp_path, "1,2\n3\n"))
 
+    def test_value_beyond_float32_range_marks_missing(self, tmp_path):
+        ds = D.load_csv(write(tmp_path, "1,2\n1e39,4\n5,-1e39\n3.4e38,6\n"))
+        assert ds.values.dtype == np.float32 and np.isfinite(ds.values).all()
+        assert ds.missing_mask.tolist() == [[False, False], [True, False],
+                                            [False, True], [False, False]]
+        assert ds.values[3, 0] == np.float32(3.4e38)
+
     def test_missing_file_names_path(self):
         with pytest.raises(D.DataError) as exc:
             D.load_csv("/nonexistent/series.csv")
@@ -46,6 +53,7 @@ class TestCsvLoading:
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="0123456789.,-+eE naifNI#\n", max_size=40).map(str.encode)
        | st.binary(max_size=40))
+@example(b"1e39,2\n-inf,1e-50\n")
 def test_any_csv_bytes_load_or_raise_data_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(blob)
@@ -54,6 +62,7 @@ def test_any_csv_bytes_load_or_raise_data_error(tmp_path_factory, blob):
     except D.DataError:
         return
     assert ds.values.shape == ds.missing_mask.shape
+    assert ds.values.dtype == np.float32 and np.isfinite(ds.values).all()
 
 
 class TestBinFormat:

@@ -93,6 +93,42 @@ def test_relative_error_floors_tiny_denominators():
     assert gradcheck.relative_error(1e-9, 0.0) < 1e-2
 
 
+def _balanced_huber_case() -> gradcheck.OpCase:
+    """A loss of ~1.5e4 whose bias gradient is exactly 0: every residual is on
+    Huber's linear branch, half of them positive and half negative."""
+
+    def build(rng):
+        pred = rng.uniform(-1.0, 1.0, size=64)
+        resid = 1e4 * rng.uniform(1.0, 2.0, size=64) * np.where(np.arange(64) % 2, 1.0, -1.0)
+        p, target = T.Tensor(pred, dtype=np.float64), T.Tensor(pred - resid, dtype=np.float64)
+        bias = T.Tensor(np.zeros(1), requires_grad=True, dtype=np.float64)
+        return {"bias": bias}, lambda: T.huber(T.add(p, bias), target)
+
+    return gradcheck.OpCase("balanced_huber", build)
+
+
+def test_zero_gradient_at_a_large_loss_is_not_read_as_error():
+    case = _balanced_huber_case()
+    leaves, forward = case.build(np.random.default_rng(3))
+    loss = forward()
+    loss.backward()
+    assert leaves["bias"].grad[0] == 0.0 and float(loss.data) > 1e4
+    # float64 rounding alone moves the central difference off 0: against the
+    # fixed 1e-6 floor that reads as error
+    fd, h = gradcheck._central_difference(forward, leaves["bias"].data.reshape(-1), 0)
+    assert fd != 0.0 and gradcheck.relative_error(fd, 0.0) > gradcheck.TOLERANCE
+    assert gradcheck.relative_error(fd, 0.0, gradcheck.resolution_floor(float(loss.data), h)) < 1e-5
+    result = gradcheck.check_case(case, seed=3)
+    assert result.passed and result.points == 1
+
+
+def test_resolution_floor_scales_with_the_loss_and_the_step():
+    floor = gradcheck.resolution_floor
+    assert floor(1e-3, gradcheck.FD_STEP) == gradcheck.REL_ERR_FLOOR
+    assert floor(1e4, gradcheck.FD_STEP) == pytest.approx(100 * floor(1e2, gradcheck.FD_STEP))
+    assert floor(1e4, 1e-6) == pytest.approx(10 * floor(1e4, 1e-5))
+
+
 def _ops(loss: T.Tensor) -> set[str]:
     return {node.op for node in T._topo_order(loss)} - {"leaf"}
 

@@ -291,14 +291,39 @@ class TestAgainstExplicitRelation:
         assert np.allclose(state.rel.data, want, rtol=1e-5, atol=1e-6)
 
 
+def buffer_elements(arr: np.ndarray) -> int:
+    """Elements of the array that owns arr's memory: a view counts as its buffer."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.nbytes // arr.itemsize
+
+
+def oversized_buffers(nodes, limit: int) -> list[str]:
+    """Each node's output, and each array its backward closure keeps, whose
+    buffer holds limit elements or more."""
+    found = []
+    for node in nodes:
+        if buffer_elements(node.data) >= limit:
+            found.append(f"{node.op} holds {buffer_elements(node.data)} elements")
+        cells = (node._backward_fn.__closure__ or ()) if node._backward_fn else ()
+        for cell in cells:
+            kept = cell.cell_contents
+            if isinstance(kept, np.ndarray) and buffer_elements(kept) >= limit:
+                found.append(f"{node.op} backward keeps {buffer_elements(kept)} elements")
+    return found
+
+
 class TestNoDenseRelation:
     def test_training_graph_holds_no_b_c_n2_buffer(self):
         """Every node of a training step's graph, and every array its backward
-        closure keeps, is smaller than one b x c x n x n relation tensor."""
+        closure keeps, lives in a buffer smaller than one b x c x n x n
+        relation tensor."""
         from flowcast.losses import total_loss
         from flowcast.model import Forecaster
 
-        b, c, n = 2, 8, 24                 # n > t_in: no stage output reaches b*c*n^2
+        # the largest temporal buffer is stage 1's pre-activation, [b, 2c, n * t_in];
+        # n > 2 * t_in keeps it below b*c*n^2
+        b, c, n = 2, 8, 40
         cfg = ModelConfig(channels=(c,) * 4, head_hidden=c)
         model = Forecaster(cfg, seed=0)
         rng = np.random.default_rng(17)
@@ -306,17 +331,20 @@ class TestNoDenseRelation:
         y = T.Tensor(rng.normal(size=(b, cfg.horizon, n)).astype(np.float32))
         yhat, state = model.forward(x)
         loss, _, _ = total_loss(yhat, y, state.f_g, state.f_gr, contrast_weight=0.1)
-        limit = b * c * n * n
         nodes = T._topo_order(loss)
         assert any(node.op == "edge_max" for node in nodes)
-        for node in nodes:
-            assert node.size < limit, f"{node.op} holds {node.size} elements"
-            cells = (node._backward_fn.__closure__ or ()) if node._backward_fn else ()
-            for cell in cells:
-                kept = cell.cell_contents
-                if isinstance(kept, np.ndarray):
-                    assert kept.size < limit, f"{node.op} backward keeps {kept.size} elements"
+        assert oversized_buffers(nodes, b * c * n * n) == []
         loss.backward()
+
+    def test_a_small_view_of_a_dense_relation_is_caught(self):
+        b, c, n = 2, 8, 24
+        dense = np.zeros((b, c, n, n), dtype=np.float32)
+        kept = dense[:, :1, :1, :1]        # 2 elements, backed by b*c*n^2
+        x = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        out = T._make(x.data * 2.0, (x,), lambda g: T._accumulate(x, g + kept.sum()), "planted")
+        assert kept.size < b * c * n * n
+        assert oversized_buffers([out], b * c * n * n) == [
+            f"planted backward keeps {b * c * n * n} elements"]
 
 
 class TestAdjacencyInvariants:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,117 @@ class TestLinAlg:
             T.edge_max(s, f)
         with pytest.raises(T.ShapeError):
             T.edge_mix(t64(np.zeros((1, 3, 3, 3))), f, t64(np.zeros((1, 3, 2))))
+
+
+def edge_max_reference(corr, feat, channels_first=False):
+    """edge_max's forward as the per-sample [n, k, c] argmax it replaced:
+    (y, argmax channel), both [b, k, n]. channels_first forms each source's
+    GEMM as [c, l] @ [l, k], edge_max's orientation, instead of [k, l] @ [l, c]."""
+    b, c, n, _ = feat.shape
+    y = np.empty((b, corr.shape[1], n), dtype=feat.dtype)
+    idx = np.empty(y.shape, dtype=np.intp)
+    for s in range(b):
+        if channels_first:
+            rel = np.matmul(feat[s].transpose(1, 0, 2), corr[s].transpose(1, 2, 0)).transpose(0, 2, 1)
+        else:
+            rel = np.matmul(corr[s].transpose(1, 0, 2), feat[s].transpose(1, 2, 0))
+        best = rel.argmax(axis=2)                                     # [i, k]
+        y[s] = np.take_along_axis(rel, best[..., None], axis=2)[..., 0].T
+        idx[s] = best.T
+    return y, idx
+
+
+def edge_max_both(corr, feat):
+    """(y recorded, argmax recorded, y under no_grad) of edge_max on raw arrays."""
+    out = T.edge_max(T.Tensor(corr, requires_grad=True), T.Tensor(feat))
+    with T.no_grad():
+        plain = T.edge_max(T.Tensor(corr, requires_grad=True), T.Tensor(feat))
+    assert plain.kinks is None
+    return out.data, out.kinks, plain.data
+
+
+class TestEdgeMaxBlocks:
+    # 1000 elements per block: at c=4, n=10 a block holds 2 samples (ragged
+    # at b=3 and 7); at c=4, n=37 it holds 6 of one sample's sources, the last
+    # block 1; at c=64 or 300 with n >= 10 a block is one source. The default
+    # holds 20 samples at c=64, n=10 and a whole sample at n=37.
+    @pytest.mark.parametrize("block", [1000, T.EDGE_BLOCK])
+    @pytest.mark.parametrize("c", [4, 64, 300])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_per_sample_argmax_exactly(self, monkeypatch, block, c, dtype):
+        monkeypatch.setattr(T, "EDGE_BLOCK", block)
+        rng = np.random.default_rng(c)
+        for n in (1, 2, 10, 37):
+            for b in (1, 3, 7):
+                for l in (1, 2, 3):
+                    corr = rng.uniform(-1, 1, size=(b, n, n, l)).astype(dtype)
+                    feat = rng.normal(size=(b, c, n, l)).astype(dtype)
+                    y, idx, plain = edge_max_both(corr, feat)
+                    assert np.array_equal(plain, y)
+                    want_y, want_idx = edge_max_reference(corr, feat, channels_first=True)
+                    assert np.array_equal(y, want_y) and np.array_equal(idx, want_idx)
+                    want_y, want_idx = edge_max_reference(corr, feat)
+                    if dtype == np.float64 and c == 300:
+                        # OpenBLAS's dgemm rounds some dot products of a
+                        # 300-row panel differently in the two orientations
+                        np.testing.assert_array_max_ulp(y, want_y, maxulp=1)
+                    else:
+                        assert np.array_equal(y, want_y)
+                    assert np.array_equal(idx, want_idx)
+
+    @pytest.mark.parametrize("c", [64, 300])
+    def test_ties_go_to_the_lowest_channel(self, monkeypatch, c):
+        monkeypatch.setattr(T, "EDGE_BLOCK", 1000)
+        rng = np.random.default_rng(8)
+        b, n, l = 3, 10, 2
+        corr = rng.uniform(-1, 1, size=(b, n, n, l)).astype(np.float32)
+        feat = rng.normal(size=(b, c, n, l)).astype(np.float32)
+        corr[1, 4] = 0.0                      # target 4 of sample 1: R is 0 on every channel
+        feat[:, 2] *= 10.0                    # the max on about half of the edges
+        feat[:, c - 1] = feat[:, 2]           # channel c-1 duplicates channel 2
+        y, idx, _ = edge_max_both(corr, feat)
+        assert np.array_equal(idx[1, 4], np.zeros(n)) and np.array_equal(y[1, 4], np.zeros(n))
+        assert (idx == 2).any() and not (idx == c - 1).any()
+        want_y, want_idx = edge_max_reference(corr, feat, channels_first=True)
+        assert np.array_equal(y, want_y) and np.array_equal(idx, want_idx)
+
+    def test_nan_feature_gives_nan_max_and_an_in_range_channel(self):
+        rng = np.random.default_rng(9)
+        b, c, n, l = 2, 64, 10, 2
+        corr = rng.uniform(-1, 1, size=(b, n, n, l)).astype(np.float32)
+        feat = rng.normal(size=(b, c, n, l)).astype(np.float32)
+        feat[0, 5, 3, 1] = np.nan             # one channel of source 3
+        feat[1, :, 7] = np.nan                # every channel of source 7
+        y, idx, plain = edge_max_both(corr, feat)
+        assert np.isnan(y[0, :, 3]).all() and np.isnan(y[1, :, 7]).all()
+        assert np.isnan(y).sum() == 2 * n and np.array_equal(np.isnan(plain), np.isnan(y))
+        assert idx.min() >= 0 and idx.max() < c
+        finite = ~np.isnan(y)
+        want_y, want_idx = edge_max_reference(corr, feat)
+        assert np.array_equal(y[finite], want_y[finite])
+        assert np.array_equal(idx[finite], want_idx[finite])
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_forward_holds_a_few_blocks_not_a_sample(self, record):
+        # one sample's [n, n, c] relation is 10 MiB here; the bound is 2 MiB
+        rng = np.random.default_rng(10)
+        b, c, n = 2, 64, 200
+        corr = T.Tensor(rng.uniform(-1, 1, size=(b, n, n, 2)).astype(np.float32),
+                        requires_grad=record)
+        feat = T.Tensor(rng.normal(size=(b, c, n, 2)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if record:
+                out = T.edge_max(corr, feat)
+            else:
+                with T.no_grad():
+                    out = T.edge_max(corr, feat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = out.data.nbytes + (out.kinks.nbytes if record else 0)
+        assert peak - base - outputs < 4 * T.EDGE_BLOCK * feat.data.itemsize
 
 
 class TestBackward:
