@@ -17,14 +17,19 @@ is bitwise the same whether or not it is part of a larger batch:
   ``np.matmul`` over a [b, ., .] stack;
 * ``gated_block`` is a whole temporal block in one op: it stacks the 1x3
   taps of its input as channels (im2col) with shifted slices of the flat
-  (node, time) axis, runs both convolutions as one ``np.matmul`` against
-  the concatenated kernels, then the tanh/sigmoid gate and the channel
-  layer norm in place. Its backward keeps five arrays, not a chain of
+  (node, time) axis, above a row of ones that carries the biases, and runs
+  both convolutions as one ``np.matmul`` against the stacked kernels. The
+  tanh/sigmoid gate and the channel layer norm follow in place. It works
+  in chunks of whole samples, so every elementwise pass reads a chunk
+  while it is in cache. Its backward keeps four arrays, not a chain of
   seven nodes;
 * ``edge_max`` forms the b x c x n x n relational tensor in cache-sized
   blocks of (sample, source) pairs, one GEMM per pair, and reduces each
   block over channels before the next. ``edge_mix`` never forms that
   tensor: it contracts it away by associativity.
+
+Both blocked ops size their blocks from one budget, ``CACHE_BLOCK``
+elements.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ from contextlib import contextmanager
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+# elements of an intermediate that gated_block and edge_max hold at once: 512 KiB
+# in float32, so that each pass over it reads from cache
+CACHE_BLOCK = 1 << 17
 
 
 class ShapeError(ValueError):
@@ -269,9 +277,12 @@ def take_time(a: Tensor, index: int) -> Tensor:
         raise ShapeError(f"take_time index {index} out of range for extent {t}")
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., index] = g
-        _accumulate(a, full)
+        # add into the one slice; a whole zero input only for the first gradient
+        if not a.requires_grad:
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[..., index] += g
 
     return _make(np.ascontiguousarray(a.data[..., index]), (a,), backward, "take_time")
 
@@ -368,14 +379,22 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
     gate_b), normalized over channels at each (sample, node, time), scaled
     by gamma and shifted by beta. Both kernels are [d, c, 1, 3], 1x3 over
     time with one zero step of padding at each end; they never span the
-    node axis. The taps of x are stacked as channels once (im2col: row
-    3*j + k holds tap k of channel j, the row-major flatten of a kernel),
-    and both convolutions are one GEMM per sample against the kernels
-    concatenated to [2d, 3c], so per-sample results are bitwise independent
-    of the batch extent. An odd t under stride 2 is padded by one trailing
-    zero step, which the last right tap reads in place of the padding.
-    Backward keeps the columns, the two activations, the normalized
-    product and 1/sigma.
+    node axis. The taps of x are stacked as channels (im2col: row 3*j + k
+    holds tap k of channel j, the row-major flatten of a kernel) above a
+    row of ones, and both convolutions with their biases are one GEMM per
+    sample against the kernels and biases stacked to [2d, 3c + 1], so
+    per-sample results are bitwise independent of the batch extent. The
+    gate rows of that stack are halved, which is exact: the gate is then
+    1 + tanh = 2 * sigmoid, and the norm's eps is scaled by 4 to match. An
+    odd t under stride 2 is padded by one trailing zero step, which the
+    last right tap reads in place of the padding.
+
+    Forward and backward run in chunks of whole samples whose [chunk, d,
+    n*t_out] slice holds at most CACHE_BLOCK elements, so that the
+    elementwise passes and the channel reductions (a GEMM against a 1/d
+    row) read each chunk while it is in cache. Backward keeps the columns,
+    the two activations, the normalized product and 1/sigma at full size;
+    under no_grad those buffers hold one chunk and are reused.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"gated_block input must be 4-axis, got {x.shape}")
@@ -393,75 +412,109 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
     if t_out < 1:
         raise ShapeError(f"gated_block: time extent {t} collapses under stride {stride}")
 
+    parents = (x, embed_w, embed_b, gate_w, gate_b, gamma, beta)
+    record = _grad_enabled and any(p.requires_grad for p in parents)
     m = n * t_out
-    xd = x.data
-    if stride * t_out != t:
-        xd = np.pad(xd, ((0, 0), (0, 0), (0, 0), (0, stride * t_out - t)))
-    cols = np.empty((b, c, KERNEL_T, m), dtype=x.dtype)
-    _taps(xd.reshape(b, c, -1), cols, stride, t_out)
-    cols = cols.reshape(b, c * KERNEL_T, m)
-    w = np.concatenate((embed_w.data.reshape(d, -1), gate_w.data.reshape(d, -1)))
-    z = np.matmul(w, cols)
-    z += np.concatenate((embed_b.data, gate_b.data))[:, None]
-    e, s = z[:, :d], z[:, d:]
-    np.tanh(e, out=e)
-    # sigmoid as 0.5*(tanh(z/2)+1), overflow-free for any finite input
-    s *= 0.5
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
+    ck = c * KERNEL_T
+    dt = embed_w.dtype
+    w = np.empty((2 * d, ck + 1), dtype=dt)
+    w[:d, :ck], w[:d, ck] = embed_w.data.reshape(d, ck), embed_b.data
+    w[d:, :ck], w[d:, ck] = gate_w.data.reshape(d, ck), gate_b.data
+    w[d:] *= 0.5
+    per = max(1, min(b, CACHE_BLOCK // (d * m)))     # samples per chunk
+    kept = b if record else per
+    cols = np.empty((kept, ck + 1, m), dtype=x.dtype)
+    cols[:, ck] = 1
+    z = np.empty((kept, 2 * d, m), dtype=dt)
+    xhat = np.empty((kept, d, m), dtype=dt)
+    inv_std = np.empty((kept, 1, m), dtype=dt)
+    sq = np.empty((per, d, m), dtype=dt)
+    xpad = np.zeros((per, c, n, stride * t_out), dtype=x.dtype) if stride * t_out != t else None
+    mean_row = np.full((1, d), 1.0 / d, dtype=dt)
+    eps4 = np.asarray(4.0 * eps, dtype=dt)
+    y = np.empty((b, d, m), dtype=dt)
 
-    xhat = e * s
-    xhat -= xhat.mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True)
-                            + np.asarray(eps, dtype=x.dtype))
-    xhat *= inv_std
-    y = gamma.data[:, None] * xhat
-    y += beta.data[:, None]
+    for s0 in range(0, b, per):
+        s1 = min(s0 + per, b)
+        rows = slice(s0, s1) if record else slice(0, s1 - s0)
+        xc = x.data[s0:s1]
+        if xpad is not None:
+            xpad[:s1 - s0, ..., :t] = xc
+            xc = xpad[:s1 - s0]
+        cc = cols[rows]
+        _taps(xc.reshape(s1 - s0, c, -1), cc[:, :ck].reshape(s1 - s0, c, KERNEL_T, m),
+              stride, t_out)
+        zc = np.matmul(w, cc, out=z[rows])
+        np.tanh(zc, out=zc)
+        gate = zc[:, d:]
+        gate += 1.0
+        xh = np.multiply(zc[:, :d], gate, out=xhat[rows])
+        xh -= np.matmul(mean_row, xh)
+        # the variance, then 1/sigma in place
+        inv = np.matmul(mean_row, np.square(xh, out=sq[:s1 - s0]), out=inv_std[rows])
+        inv += eps4
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        xh *= inv
+        yc = np.multiply(xh, gamma.data[:, None], out=y[s0:s1])
+        yc += beta.data[:, None]
 
     def backward(g):
         g = g.reshape(b, d, m)
-        _accumulate(gamma, (g * xhat).sum(axis=(0, 2)))
-        _accumulate(beta, g.sum(axis=(0, 2)))
-        dp = g * gamma.data[:, None]
-        m2 = (dp * xhat).mean(axis=1, keepdims=True)
-        dp -= dp.mean(axis=1, keepdims=True)
-        np.multiply(xhat, m2, out=xhat)
-        dp -= xhat
-        dp *= inv_std
-        # dz = [dp * s * (1 - e^2), dp * e * s * (1 - s)]; e and s are spent here
-        dz = np.empty((b, 2 * d, m), dtype=e.dtype)
-        de, ds = dz[:, :d], dz[:, d:]
-        np.multiply(dp, s, out=de)
-        np.multiply(dp, e, out=ds)
-        ds *= s
-        np.subtract(1.0, s, out=s)
-        ds *= s
-        np.square(e, out=e)
-        np.subtract(1.0, e, out=e)
-        de *= e
-
-        db = dz.sum(axis=(0, 2))
-        _accumulate(embed_b, db[:d])
-        _accumulate(gate_b, db[d:])
-        dw = np.matmul(dz[0], cols[0].T)
-        for i in range(1, b):
-            dw += np.matmul(dz[i], cols[i].T)
-        _accumulate(embed_w, dw[:d].reshape(embed_w.shape))
-        _accumulate(gate_w, dw[d:].reshape(gate_w.shape))
-        if x.requires_grad:
-            dxf = np.empty((b, c, stride * m), dtype=x.dtype)
-            _taps_grad(np.matmul(w.T, dz).reshape(b, c, KERNEL_T, m), dxf, stride, t_out)
+        # the channel means of layer-norm backward, with gamma folded into the row
+        norm_row = (gamma.data / d)[None, :]
+        dgamma = np.zeros(d, dtype=dt)
+        dbeta = np.zeros(d, dtype=dt)
+        dw = np.zeros((2 * d, ck + 1), dtype=dt)
+        dws = np.empty_like(dw)
+        work = np.empty((per, d, m), dtype=dt)
+        dz = np.empty((per, 2 * d, m), dtype=dt)
+        dcols = np.empty((per, ck, m), dtype=dt) if x.requires_grad else None
+        dxf = np.empty((b, c, stride * m), dtype=x.dtype) if x.requires_grad else None
+        for s0 in range(0, b, per):
+            s1 = min(s0 + per, b)
+            gc, xh, dzc = g[s0:s1], xhat[s0:s1], dz[:s1 - s0]
+            tmp = np.multiply(gc, xh, out=work[:s1 - s0])
+            dgamma += tmp.sum(axis=(0, 2))
+            dbeta += gc.sum(axis=(0, 2))
+            m2 = np.matmul(norm_row, tmp)
+            dp = np.multiply(gc, gamma.data[:, None], out=tmp)
+            dp -= np.matmul(norm_row, gc)
+            xh *= m2
+            dp -= xh
+            dp *= inv_std[s0:s1]
+            # with e = tanh and q = 1 + tanh(u) for the halved gate row u:
+            # d/d(embed row) = dp * q * (1 - e^2), d/du = dp * e * q * (2 - q);
+            # e and q are spent here
+            e, q = z[s0:s1, :d], z[s0:s1, d:]
+            de, du = dzc[:, :d], dzc[:, d:]
+            np.multiply(dp, q, out=de)
+            np.multiply(dp, e, out=du)
+            du *= q
+            np.subtract(2.0, q, out=q)
+            du *= q
+            np.square(e, out=e)
+            np.subtract(1.0, e, out=e)
+            de *= e
+            for i in range(s1 - s0):
+                dw += np.matmul(dzc[i], cols[s0 + i].T, out=dws)
+            if dxf is not None:
+                dcc = np.matmul(w[:, :ck].T, dzc, out=dcols[:s1 - s0])
+                _taps_grad(dcc.reshape(s1 - s0, c, KERNEL_T, m), dxf[s0:s1], stride, t_out)
+        dw[d:] *= 0.5
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
+        _accumulate(embed_w, dw[:d, :ck].reshape(embed_w.shape))
+        _accumulate(embed_b, dw[:d, ck])
+        _accumulate(gate_w, dw[d:, :ck].reshape(gate_w.shape))
+        _accumulate(gate_b, dw[d:, ck])
+        if dxf is not None:
             _accumulate(x, dxf.reshape(b, c, n, -1)[..., :t])
 
-    return _make(y.reshape(b, d, n, t_out), (x, embed_w, embed_b, gate_w, gate_b, gamma, beta),
-                 backward, "gated_block")
+    return _make(y.reshape(b, d, n, t_out), parents, backward, "gated_block")
 
 
 # -- correlation / edge ops ------------------------------------------------------
-
-EDGE_BLOCK = 1 << 17   # elements of R that edge_max forms at once: 512 KiB in float32
-
 
 def cosine_correlate(rep: Tensor, feat: Tensor, eps: float = 1e-8) -> Tensor:
     """Cosine similarity over channels between representatives and features.
@@ -516,7 +569,7 @@ def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
     corr [b, n_tgt, n_src, l], feat [b, c, n_src, l] -> [b, n_tgt, n_src] with
     out[b, k, i] = max_c R[b, c, i, k], R[b, c, i, k] = sum_t corr[b, k, i, t]
     * feat[b, c, i, t]. R is formed in blocks of (sample, source) pairs of at
-    most EDGE_BLOCK elements, one GEMM per pair, and each block is reduced
+    most CACHE_BLOCK elements, one GEMM per pair, and each block is reduced
     while it is in cache. Only the argmax channel survives for backward, which
     gathers and scatters through it; it is found only when a graph is
     recorded. Ties break toward the lowest channel.
@@ -531,7 +584,7 @@ def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
     # written channels-outermost so that the max over c is elementwise over rows
     feat_si = feat.data.transpose(0, 2, 1, 3)          # [b, i, c, l]
     corr_si = corr.data.transpose(0, 2, 3, 1)          # [b, i, l, k]
-    step = max(1, EDGE_BLOCK // (c * k))                # sources per block
+    step = max(1, CACHE_BLOCK // (c * k))               # sources per block
     per = max(1, step // n)                             # whole samples per block
     span = min(step, n)
     buf = np.empty(c * min(per, b) * span * k, dtype=y.dtype)

@@ -144,3 +144,26 @@ def test_registry_covers_exactly_the_ops_the_model_calls():
         _, forward = case.build(rng)
         registered |= _ops(forward())
     assert registered == called
+
+
+@pytest.mark.parametrize("stride,t", [(1, 4), (2, 3)])
+def test_gated_block_gradients_hold_across_chunks(monkeypatch, stride, t):
+    monkeypatch.setattr(T, "CACHE_BLOCK", 1)   # one sample per chunk
+    result = gradcheck.check_case(gradcheck._case_gated_block(stride, t), seed=4)
+    assert result.passed, result
+
+
+def test_smooth_steep_coordinate_passes_on_the_four_point_recheck():
+    # at case seed 47 the central difference of this coordinate misses by its
+    # O(h^2) truncation alone; the O(h^4) stencil at the same h does not
+    case = gradcheck.full_model_case("_max_learned", attention_op="max_learned")
+    leaves, forward = case.build(np.random.default_rng(47))
+    forward().backward()
+    beta = leaves["stage1.block1.norm.beta"]
+    ad = float(beta.grad[0])
+    fd, h = gradcheck._central_difference(forward, beta.data.reshape(-1), 0)
+    assert h == gradcheck.FD_STEP and gradcheck.relative_error(fd, ad) > gradcheck.TOLERANCE
+    fd4 = gradcheck._fourth_order_difference(forward, beta.data.reshape(-1), 0, h)
+    assert gradcheck.relative_error(fd4, ad) < gradcheck.TOLERANCE / 10
+    result = gradcheck.check_case(case, 47, gradcheck.MODEL_POINTS_PER_LEAF)
+    assert result.passed, result

@@ -174,6 +174,44 @@ class TestGatedBlock:
         with pytest.raises(T.ShapeError):
             block(np.zeros((3, 4, 6), dtype=np.float32), *params)
 
+    @pytest.mark.parametrize("stride,t", [(1, 6), (2, 7)])
+    def test_sample_of_a_multi_chunk_batch_is_bitwise_the_sample_alone(self, monkeypatch,
+                                                                        stride, t):
+        # two samples per chunk: b=5 runs as chunks of 2, 2 and 1, and sample 3
+        # is the second of its chunk
+        rng = np.random.default_rng(3 * t)
+        b, c, n, d = 5, 3, 4, 6
+        monkeypatch.setattr(T, "CACHE_BLOCK", 2 * d * n * T.conv_time_length(t, stride))
+        x = rng.normal(size=(b, c, n, t)).astype(np.float32)
+        params = block_params(rng, c, d)
+        with T.no_grad():
+            batch = block(x, *params, stride=stride).data
+            alone = block(x[3:4], *params, stride=stride).data
+        assert np.array_equal(batch[3], alone[0])
+        # a recorded forward works on slices of the kept buffers, not on
+        # reused chunk buffers, and computes the same bits
+        recorded = T.gated_block(T.Tensor(x, requires_grad=True),
+                                 *(T.Tensor(p) for p in params), stride)
+        assert np.array_equal(recorded.data, batch)
+
+    @pytest.mark.parametrize("stride,t", [(1, 12), (2, 13)])
+    def test_nograd_forward_holds_a_few_chunks_not_a_batch(self, stride, t):
+        # a chunk holds 4 (stride 1) or 7 (stride 2) of the 64 samples; the
+        # stride-2 case also pads x
+        rng = np.random.default_rng(11)
+        b, c, n, d = 64, 16, 40, 64
+        x = rng.normal(size=(b, c, n, t)).astype(np.float32)
+        params = [T.Tensor(p) for p in block_params(rng, c, d)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with T.no_grad():
+                out = T.gated_block(T.Tensor(x), *params, stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - out.data.nbytes < 6 * T.CACHE_BLOCK * x.itemsize
+
 
 class TestLayerNorm:
     """The channel layer norm at the end of gated_block."""
@@ -321,11 +359,11 @@ class TestEdgeMaxBlocks:
     # at b=3 and 7); at c=4, n=37 it holds 6 of one sample's sources, the last
     # block 1; at c=64 or 300 with n >= 10 a block is one source. The default
     # holds 20 samples at c=64, n=10 and a whole sample at n=37.
-    @pytest.mark.parametrize("block", [1000, T.EDGE_BLOCK])
+    @pytest.mark.parametrize("block", [1000, T.CACHE_BLOCK])
     @pytest.mark.parametrize("c", [4, 64, 300])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_the_per_sample_argmax_exactly(self, monkeypatch, block, c, dtype):
-        monkeypatch.setattr(T, "EDGE_BLOCK", block)
+        monkeypatch.setattr(T, "CACHE_BLOCK", block)
         rng = np.random.default_rng(c)
         for n in (1, 2, 10, 37):
             for b in (1, 3, 7):
@@ -347,7 +385,7 @@ class TestEdgeMaxBlocks:
 
     @pytest.mark.parametrize("c", [64, 300])
     def test_ties_go_to_the_lowest_channel(self, monkeypatch, c):
-        monkeypatch.setattr(T, "EDGE_BLOCK", 1000)
+        monkeypatch.setattr(T, "CACHE_BLOCK", 1000)
         rng = np.random.default_rng(8)
         b, n, l = 3, 10, 2
         corr = rng.uniform(-1, 1, size=(b, n, n, l)).astype(np.float32)
@@ -397,7 +435,7 @@ class TestEdgeMaxBlocks:
         finally:
             tracemalloc.stop()
         outputs = out.data.nbytes + (out.kinks.nbytes if record else 0)
-        assert peak - base - outputs < 4 * T.EDGE_BLOCK * feat.data.itemsize
+        assert peak - base - outputs < 4 * T.CACHE_BLOCK * feat.data.itemsize
 
 
 class TestBackward:
@@ -460,6 +498,20 @@ class TestBackward:
         assert x.grad.dtype == np.float32 and not np.shares_memory(x.grad, g)
         T._accumulate(x, g)
         assert np.array_equal(g, [1.0, 2.0, 3.0]) and np.array_equal(x.grad, [2.0, 4.0, 6.0])
+
+    @pytest.mark.parametrize("take_first", [True, False])
+    def test_take_time_gradient_is_its_one_hot_slice_in_either_order(self, take_first):
+        # add's first operand runs its backward first: take_time's gradient
+        # either starts x.grad or adds into mul's
+        rng = np.random.default_rng(12)
+        x = t64(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        w, v = rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 5))
+        picked = T.sum_over_axis(T.mul(T.take_time(x, 2), t64(w)))
+        whole = T.sum_over_axis(T.mul(x, t64(v)))
+        T.add(*((picked, whole) if take_first else (whole, picked))).backward()
+        one_hot = np.zeros_like(x.data)
+        one_hot[..., 2] = w
+        assert np.array_equal(x.grad, one_hot + v)
 
     def test_grad_accumulates_across_uses(self):
         x = t64([3.0], requires_grad=True)
