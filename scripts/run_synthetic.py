@@ -47,13 +47,13 @@ def main():
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh, indent=2)
 
-    rc = cli_main(["train", "--config", cfg_path])
-    if rc != 0:
-        raise SystemExit(rc)
     ckpt = os.path.join(args.out, "best.ckpt")
-    cli_main(["export-aam", ckpt, "0", "--out", args.out])
-    cli_main(["export-aam", ckpt, "0", "--reversed", "--out", args.out])
-    cli_main(["predict", ckpt, "0", "--out", args.out])
+    for argv in (["train", "--config", cfg_path],
+                 ["export-aam", ckpt, "0", "--out", args.out],
+                 ["export-aam", ckpt, "0", "--reversed", "--out", args.out],
+                 ["predict", ckpt, "0", "--out", args.out]):
+        if rc := cli_main(argv):
+            raise SystemExit(rc)
 
     with open(os.path.join(args.out, "metrics.json")) as fh:
         metrics = json.load(fh)

@@ -206,8 +206,6 @@ def cmd_export_aam(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.size != "toy":
-        raise C.ConfigError(f"unknown gradcheck size preset {args.size!r}")
     results = gradcheck.run_all(seed=args.seed if args.seed is not None else 0)
     width = max(len(r.name) for r in results)
     all_pass = True
@@ -297,33 +295,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    p.add_argument("checkpoint")
-    p.add_argument("--data", default=None)
-    p.add_argument("--format", default=None, choices=["csv", "bin"])
-    p.add_argument("--out", default=None)
+    from_checkpoint = argparse.ArgumentParser(add_help=False)
+    from_checkpoint.add_argument("checkpoint")
+    from_checkpoint.add_argument("--data", default=None)
+    from_checkpoint.add_argument("--format", default=None, choices=["csv", "bin"])
+    from_checkpoint.add_argument("--out", default=None)
+
+    p = sub.add_parser("eval", parents=[from_checkpoint],
+                       help="evaluate a checkpoint on the test split")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("predict", help="write the forecast for one input window")
-    p.add_argument("checkpoint")
+    p = sub.add_parser("predict", parents=[from_checkpoint],
+                       help="write the forecast for one input window")
     p.add_argument("window_index", type=int)
-    p.add_argument("--data", default=None)
-    p.add_argument("--format", default=None, choices=["csv", "bin"])
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("export-aam", help="write the adjacency matrix for one window")
-    p.add_argument("checkpoint")
+    p = sub.add_parser("export-aam", parents=[from_checkpoint],
+                       help="write the adjacency matrix for one window")
     p.add_argument("window_index", type=int)
     p.add_argument("--reversed", action="store_true")
-    p.add_argument("--data", default=None)
-    p.add_argument("--format", default=None, choices=["csv", "bin"])
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_export_aam)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--size", default="toy")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="train and score a preset family of variants")

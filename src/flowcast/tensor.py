@@ -166,11 +166,16 @@ def _finite_check(arr: np.ndarray, opname: str) -> None:
         raise FloatingPointError(f"non-finite values produced by op '{opname}'")
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on these parents joins the graph."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str,
           kinks: np.ndarray | None = None) -> Tensor:
     _finite_check(data, op)
     out = Tensor(data, op=op)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -413,7 +418,7 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
         raise ShapeError(f"gated_block: time extent {t} collapses under stride {stride}")
 
     parents = (x, embed_w, embed_b, gate_w, gate_b, gamma, beta)
-    record = _grad_enabled and any(p.requires_grad for p in parents)
+    record = _records(parents)
     m = n * t_out
     ck = c * KERNEL_T
     dt = embed_w.dtype
@@ -520,39 +525,39 @@ def cosine_correlate(rep: Tensor, feat: Tensor, eps: float = 1e-8) -> Tensor:
     """Cosine similarity over channels between representatives and features.
 
     rep [b, c, n], feat [b, c, n, l] -> S [b, n, n, l] with
-    S[b, i, j, t] = cos(rep[b, :, i], feat[b, :, j, t]). Entries where either
-    vector's norm falls below eps are defined as 0 (no relation).
+    S[b, i, j, t] = cos(rep[b, :, i], feat[b, :, j, t]), one GEMM u^T v per sample
+    of the unit vectors u = rep / |rep| and v = feat / |feat| over channels. A
+    vector whose norm is at most eps has unit vector 0: no relation.
     """
     if rep.data.ndim != 3 or feat.data.ndim != 4:
         raise ShapeError(f"cosine_correlate: rep {rep.shape}, feat {feat.shape}")
     if rep.shape[:2] != feat.shape[:2]:
         raise ShapeError(f"cosine_correlate: channel mismatch {rep.shape} vs {feat.shape}")
 
+    def unit(x):
+        # x [b, c, k] over its norm, and 1/|x| [b, 1, k], which is 0 where |x| <= eps
+        norm = np.sqrt(np.einsum("bck,bck->bk", x, x, optimize=False))[:, None]
+        inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > eps)
+        return x * inv, inv
+
     b, c, n = rep.shape
     _, _, m, l = feat.shape
-    feat2 = feat.data.reshape(b, c, m * l)
-    dots = np.matmul(rep.data.transpose(0, 2, 1), feat2).reshape(b, n, m, l)
-    rep_norm = np.sqrt(np.einsum("bci,bci->bi", rep.data, rep.data, optimize=False))
-    feat_norm = np.sqrt(np.einsum("bcjt,bcjt->bjt", feat.data, feat.data, optimize=False))
-    valid = (rep_norm[:, :, None, None] > eps) & (feat_norm[:, None, :, :] > eps)
-    denom = np.where(valid, rep_norm[:, :, None, None] * feat_norm[:, None, :, :], 1.0)
+    u, inv_rep = unit(rep.data)
+    v, inv_feat = unit(feat.data.reshape(b, c, m * l))
+    s = np.matmul(u.transpose(0, 2, 1), v)
     # rounding can push |cos| a few ulp past 1; the bound is part of the contract
-    s = np.clip(np.where(valid, dots / denom, 0.0), -1.0, 1.0).astype(rep.dtype)
+    np.clip(s, -1.0, 1.0, out=s)
 
     def backward(g):
-        gv = np.where(valid, g / denom, 0.0).astype(rep.dtype).reshape(b, n, m * l)
-        drep = np.matmul(feat2, gv.transpose(0, 2, 1))
-        dfeat = np.matmul(rep.data, gv).reshape(b, c, m, l)
-        # norm terms: dS/d||rep|| = -S/||rep||, dS/d||feat|| = -S/||feat||
-        gs = np.where(valid, g * s, 0.0)
-        rep_w = gs.sum(axis=(2, 3)) / np.where(rep_norm > eps, rep_norm**2, 1.0)
-        feat_w = gs.sum(axis=1) / np.where(feat_norm > eps, feat_norm**2, 1.0)
-        drep -= rep.data * rep_w[:, None, :]
-        dfeat -= feat.data * feat_w[:, None, :, :]
+        # d rep = (v g^T - u sum_jt g S) / |rep|, d feat = (u g - v sum_i g S) / |feat|
+        g = g.reshape(b, n, m * l)
+        gs = g * s
+        drep = (np.matmul(v, g.transpose(0, 2, 1)) - u * gs.sum(axis=2)[:, None]) * inv_rep
+        dfeat = (np.matmul(u, g) - v * gs.sum(axis=1)[:, None]) * inv_feat
         _accumulate(rep, drep)
-        _accumulate(feat, dfeat)
+        _accumulate(feat, dfeat.reshape(b, c, m, l))
 
-    return _make(s, (rep, feat), backward, "cosine_correlate")
+    return _make(s.reshape(b, n, m, l), (rep, feat), backward, "cosine_correlate")
 
 
 def _edge_operands(opname: str, corr: Tensor, feat: Tensor) -> None:
@@ -577,7 +582,7 @@ def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
     _edge_operands("edge_max", corr, feat)
     b, c, n, l = feat.shape
     k = corr.shape[1]
-    record = _grad_enabled and (corr.requires_grad or feat.requires_grad)
+    record = _records((corr, feat))
     y = np.empty((b, k, n), dtype=feat.dtype)
     idx = np.empty((b, k, n), dtype=np.intp) if record else None
     # per pair (s, i) one GEMM rel[c, k] = feat[s, :, i, :] @ corr[s, :, i, :]^T,

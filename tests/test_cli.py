@@ -371,9 +371,6 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 0
         assert "re-stepped across a kink: x[0] h=1e-06" in capsys.readouterr().out
 
-    def test_unknown_size_preset_rejected(self):
-        assert main(["gradcheck", "--size", "huge"]) == 2
-
 
 class TestAblate:
     def test_table3_enumerates_11_cases(self, cli_workspace, tmp_path, capsys):

@@ -267,6 +267,81 @@ class TestCosine:
         c2 = cosine(k * a, b)
         assert c1 == pytest.approx(c2, abs=1e-6)
 
+    @staticmethod
+    def degenerate_inputs(dtype=np.float64):
+        """rep [2, 5, 4] and feat [2, 5, 3, 2] with representative 0 of sample 0
+        and feature (1, 0) of sample 1 at norm 0, and representative 2 of
+        sample 1 at a norm just above eps."""
+        rng = np.random.default_rng(12)
+        rep = rng.normal(size=(2, 5, 4))
+        feat = rng.normal(size=(2, 5, 3, 2))
+        rep[0, :, 0] = 0.0
+        feat[1, :, 1, 0] = 0.0
+        rep[1, :, 2] *= 1.5e-8 / np.linalg.norm(rep[1, :, 2])
+        return rep.astype(dtype), feat.astype(dtype)
+
+    @staticmethod
+    def gradients(rep, feat, g):
+        """S and the gradients of sum(S * g) with respect to rep and feat."""
+        r = T.Tensor(rep, requires_grad=True)
+        f = T.Tensor(feat, requires_grad=True)
+        s = T.cosine_correlate(r, f)
+        T.sum_over_axis(T.mul(s, T.Tensor(g))).backward()
+        return s.data, r.grad, f.grad
+
+    def test_matches_the_masked_quotient_in_float64(self):
+        # S = dots / (|rep| |feat|) where both norms exceed eps and 0 elsewhere,
+        # differentiated as a quotient
+        rep, feat = self.degenerate_inputs()
+        g = np.random.default_rng(13).normal(size=(2, 4, 3, 2))
+        eps = 1e-8
+        rn = np.sqrt((rep ** 2).sum(axis=1))[:, :, None, None]
+        fn = np.sqrt((feat ** 2).sum(axis=1))[:, None]
+        valid = (rn > eps) & (fn > eps)
+        denom = np.where(valid, rn * fn, 1.0)
+        dots = np.einsum("bci,bcjt->bijt", rep, feat)
+        want_s = np.where(valid, dots / denom, 0.0)
+        gv = np.where(valid, g / denom, 0.0)
+        gs = g * want_s
+        want_drep = (np.einsum("bcjt,bijt->bci", feat, gv)
+                     - rep * (gs.sum(axis=(2, 3)) / np.where(rn[..., 0, 0] > eps, rn[..., 0, 0] ** 2, 1.0))[:, None])
+        want_dfeat = (np.einsum("bci,bijt->bcjt", rep, gv)
+                      - feat * (gs.sum(axis=1) / np.where(fn[:, 0] > eps, fn[:, 0] ** 2, 1.0))[:, None])
+        s, drep, dfeat = self.gradients(rep, feat, g)
+        assert valid.sum() == 2 * 4 * 6 - 6 - 4 and np.abs(want_drep[1, :, 2]).max() > 1e6
+        np.testing.assert_allclose(s, want_s, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(drep, want_drep, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(dfeat, want_dfeat, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_norm_vectors_get_zero_gradient(self, dtype):
+        rep, feat = self.degenerate_inputs(dtype)
+        s, drep, dfeat = self.gradients(rep, feat, np.ones((2, 4, 3, 2), dtype=dtype))
+        assert np.all(s[0, 0] == 0.0) and np.all(s[1, :, 1, 0] == 0.0)
+        assert np.all(drep[0, :, 0] == 0.0) and np.all(dfeat[1, :, 1, 0] == 0.0)
+        assert np.all(np.isfinite(drep)) and np.all(np.isfinite(dfeat))
+        assert np.abs(s).max() <= 1.0
+
+    def test_holds_no_temporaries_the_size_of_s(self):
+        # |S| is 5.8 MiB here, a PEMS04-sized training batch
+        rng = np.random.default_rng(14)
+        b, c, n, l = 8, 16, 307, 2
+        rep = T.Tensor(rng.normal(size=(b, c, n)).astype(np.float32), requires_grad=True)
+        feat = T.Tensor(rng.normal(size=(b, c, n, l)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s = T.cosine_correlate(rep, feat)
+            forward = tracemalloc.get_traced_memory()[1] - base - s.data.nbytes
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            s._backward_fn(np.ones_like(s.data))
+            backward = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward < 0.5 * s.data.nbytes
+        assert backward < 3 * s.data.nbytes
+
 
 class TestLinAlg:
     def test_channel_linear_is_batch_invariant_bitwise(self):
