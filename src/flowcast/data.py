@@ -63,6 +63,15 @@ class NormStats:
 # -- loading --------------------------------------------------------------------
 
 
+def _fill_missing(values: np.ndarray, marked: np.ndarray | bool, zeros_as_missing: bool):
+    """(values with every missing cell set to 0, mask). A cell is missing where
+    marked, where it is not finite and, with zeros_as_missing, where it is 0."""
+    mask = ~np.isfinite(values) | marked
+    if zeros_as_missing:
+        mask |= values == 0.0
+    return np.where(mask, np.float32(0.0), values), mask
+
+
 def load_csv(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
     try:
         with warnings.catch_warnings():
@@ -76,11 +85,7 @@ def load_csv(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
         raise DataError(f"empty data file: {path}")
     with np.errstate(over="ignore"):
         values = values.astype(np.float32)     # beyond float32 range -> inf, masked
-    mask = ~np.isfinite(values)
-    if zeros_as_missing:
-        mask |= values == 0.0
-    values = np.where(mask, np.float32(0.0), values)
-    return SeriesDataset(values, mask, name=str(path))
+    return SeriesDataset(*_fill_missing(values, False, zeros_as_missing), name=str(path))
 
 
 def load_bin(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
@@ -108,18 +113,11 @@ def load_bin(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
     need = header_end + 4 * t * n + (t * n if has_mask else 0)
     if len(blob) != need:
         raise DataError(f"bin payload of {path} is {len(blob)} bytes, expected {need}")
-    values = np.frombuffer(blob, dtype="<f4", count=t * n, offset=header_end)
-    values = values.reshape(t, n).astype(np.float32)
-    if has_mask:
-        mask = np.frombuffer(blob, dtype=np.uint8, count=t * n,
-                             offset=header_end + 4 * t * n).reshape(t, n) != 0
-    else:
-        mask = np.zeros((t, n), dtype=bool)
-    mask = mask | ~np.isfinite(values)
-    if zeros_as_missing:
-        mask |= values == 0.0
-    values = np.where(mask, 0.0, values).astype(np.float32)
-    return SeriesDataset(values, mask, interval_minutes=interval, name=str(path))
+    values = np.frombuffer(blob, dtype="<f4", count=t * n, offset=header_end).reshape(t, n)
+    marked = has_mask and np.frombuffer(blob, dtype=np.uint8, count=t * n,
+                                        offset=header_end + 4 * t * n).reshape(t, n) != 0
+    return SeriesDataset(*_fill_missing(values, marked, zeros_as_missing),
+                         interval_minutes=interval, name=str(path))
 
 
 def save_bin(ds: SeriesDataset, path: str) -> None:

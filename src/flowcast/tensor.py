@@ -34,7 +34,6 @@ elements.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,14 +52,7 @@ class DetachedTensorError(RuntimeError):
     """Raised when backward() is called on a tensor with no graph."""
 
 
-_debug_checks = os.environ.get("FLOWCAST_DEBUG", "") not in ("", "0")
 _grad_enabled = True
-
-
-def set_debug(flag: bool) -> None:
-    """Enable per-op finite-value assertions (slow; for debugging)."""
-    global _debug_checks
-    _debug_checks = bool(flag)
 
 
 @contextmanager
@@ -161,9 +153,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _finite_check(arr: np.ndarray, opname: str) -> None:
-    if _debug_checks and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values produced by op '{opname}'")
+def _first_nonfinite(root: Tensor) -> Tensor | None:
+    """The first node of root's graph, inputs first, whose value is not all finite."""
+    return next((t for t in _topo_order(root) if not np.isfinite(t.data).all()), None)
 
 
 def _records(parents: tuple[Tensor, ...]) -> bool:
@@ -173,7 +165,6 @@ def _records(parents: tuple[Tensor, ...]) -> bool:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str,
           kinks: np.ndarray | None = None) -> Tensor:
-    _finite_check(data, op)
     out = Tensor(data, op=op)
     if _records(parents):
         out.requires_grad = True
@@ -254,8 +245,8 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, g * mask)
 
-    return _make(np.where(mask, a.data, 0.0).astype(a.dtype, copy=False), (a,), backward, "relu",
-                 kinks=mask)
+    # np.maximum keeps a NaN, where a masked copy would turn it into 0
+    return _make(np.maximum(a.data, 0), (a,), backward, "relu", kinks=mask)
 
 
 # -- reductions ---------------------------------------------------------------

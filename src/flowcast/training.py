@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .data import PreparedData, iter_batches
+from .data import PreparedData, WindowBatch, iter_batches
 from .losses import total_loss
 from .metrics import MetricAccumulator, MetricsReport
 from .model import Forecaster
@@ -62,15 +62,30 @@ def persistence_metrics(prep: PreparedData, split: str) -> MetricsReport:
     return acc.report()
 
 
+def _batch_loss(model: Forecaster, batch: WindowBatch) -> tuple[T.Tensor, float, float]:
+    yhat, state = model.forward(T.Tensor(batch.inputs))
+    return total_loss(yhat, T.Tensor(batch.targets_norm), state.f_g, state.f_gr,
+                      contrast_weight=model.cfg.contrast_weight)
+
+
+def _divergence_cause(model: Forecaster, batch: WindowBatch, exc: NumericalError) -> str:
+    """Name the first non-finite node of a re-run of the failed step's forward."""
+    node = T._first_nonfinite(_batch_loss(model, batch)[0])
+    if node is None:
+        return f"forward finite; {exc}"
+    return next((f"first non-finite value in parameter '{k}'"
+                 for k, p in model.params.items() if p is node),
+                f"first non-finite value from op '{node.op}'")
+
+
 def train(model: Forecaster, prep: PreparedData, cfg: TrainConfig,
           max_steps: int | None = None) -> TrainResult:
     """Run the full schedule; keep the epoch with the lowest validation MAE.
 
     A non-finite loss or gradient aborts the loop with parameters as they
-    were before the offending step; ``max_steps`` caps optimizer steps for
-    desk-scale experiments.
+    were before the offending step and logs the epoch, the step and the
+    cause; ``max_steps`` caps optimizer steps for desk-scale experiments.
     """
-    contrast_weight = model.cfg.contrast_weight
     opt = Adam(model.params, lr=cfg.lr0, weight_decay=cfg.weight_decay, clip=cfg.clip)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
 
@@ -83,19 +98,16 @@ def train(model: Forecaster, prep: PreparedData, cfg: TrainConfig,
         huber_sum = contrast_sum = 0.0
         batches = 0
         for batch in iter_batches(prep, "train", cfg.batch_size, rng=shuffle_rng):
-            yhat, state = model.forward(T.Tensor(batch.inputs))
-            loss, l_h, l_n = total_loss(yhat, T.Tensor(batch.targets_norm),
-                                        state.f_g, state.f_gr, contrast_weight=contrast_weight)
-            if not np.isfinite(loss.data):
-                logger.error("loss diverged at epoch %d step %d", epoch, steps)
-                result.diverged = True
-                break
-            opt.zero_grad()
-            loss.backward()
             try:
+                loss, l_h, l_n = _batch_loss(model, batch)
+                if not np.isfinite(loss.data):
+                    raise NumericalError("non-finite loss")
+                opt.zero_grad()
+                loss.backward()
                 opt.step()
             except NumericalError as exc:
-                logger.error("aborting: %s", exc)
+                logger.error("diverged at epoch %d step %d: %s",
+                             epoch, steps, _divergence_cause(model, batch, exc))
                 result.diverged = True
                 break
             result.step_losses.append((l_h, l_n))

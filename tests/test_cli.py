@@ -165,10 +165,31 @@ def test_eval_of_a_model_emitting_inf_exits_4_and_writes_no_metrics(
         return yhat, state
 
     monkeypatch.setattr(Forecaster, "forward", emit_inf)
-    rc = main(["eval", str(cli_workspace / "out" / "best.ckpt"), "--out", str(tmp_path / "e")])
+    trained = str(cli_workspace / "out" / "best.ckpt")
+    for argv, written in ((["eval", trained], "metrics.json"),
+                          (["predict", trained, "0"], "forecast_w0.csv")):
+        rc = main(argv + ["--out", str(tmp_path / "e")])
+        assert rc == 4
+        assert written in capsys.readouterr().err
+        assert not (tmp_path / "e" / written).exists()
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["eval"], "metrics.json"),
+    (["predict", "0"], "forecast_w0.csv"),
+    (["export-aam", "0"], "aam_w0.csv"),
+])
+def test_nan_encoder_parameter_exits_4_and_writes_nothing(cli_workspace, tmp_path, capsys,
+                                                         argv, written):
+    # a NaN reaches the forecast and A through every relu, not as a constant 0
+    params, header = ckpt.load(str(cli_workspace / "out" / "best.ckpt"))
+    params["stage1.block1.norm.gamma"][:] = np.nan
+    nan_ckpt = str(tmp_path / "nan.ckpt")
+    ckpt.save(nan_ckpt, params, header["config"], header["epoch"], header["val_mae"])
+    rc = main([argv[0], nan_ckpt, *argv[1:], "--out", str(tmp_path / "o")])
     assert rc == 4
-    assert "metrics.json" in capsys.readouterr().err
-    assert not (tmp_path / "e" / "metrics.json").exists()
+    assert written in capsys.readouterr().err
+    assert list(tmp_path.glob("o/*")) == []
 
 
 def test_failed_csv_write_keeps_the_earlier_file(tmp_path):

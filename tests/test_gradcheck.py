@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,15 @@ def test_every_registered_op_matches_finite_differences():
 def test_registry_names_are_unique():
     names = [case.name for case in gradcheck.default_registry()]
     assert len(names) == len(set(names))
+
+
+def test_every_public_tensor_function_is_a_checked_op():
+    # perfbench's tracer counts every public function of the tensor module as an op
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_")}
+    checked = {re.sub(r"_s\d$", "", case.name) for case in gradcheck.default_registry()}
+    assert public - {"no_grad", "conv_time_length"} - checked == set()
 
 
 def _broken_case() -> gradcheck.OpCase:

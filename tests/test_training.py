@@ -95,7 +95,7 @@ class TestTrainingLoop:
         assert res.best_val_mae <= min(e.val_mae for e in res.epochs)
         assert any(e.val_mae == res.best_val_mae for e in res.epochs)
 
-    def test_divergence_keeps_last_good_state(self, tiny_prep):
+    def test_divergence_keeps_last_good_state(self, tiny_prep, caplog):
         model = tiny_setup(seed=3)
         model.params["head.out.bias"].data[:] = np.inf
         before = model.state_arrays()
@@ -104,6 +104,23 @@ class TestTrainingLoop:
         assert not res.step_losses
         for key, arr in res.best_state.items():
             assert np.array_equal(arr, before[key], equal_nan=True)
+        assert "first non-finite value in parameter 'head.out.bias'" in caplog.text
+
+    @pytest.mark.parametrize("name,value,cause", [
+        # a finite gamma this large overflows the block's float32 output
+        ("stage1.block1.norm.gamma", 3e38, "first non-finite value from op 'gated_block'"),
+        # the loss stays finite (about 2e23), but a gradient overflows
+        ("es.gcn.weight", 1e30,
+         "forward finite; non-finite gradient in parameter 'stage1.block1.embed.weight'"),
+    ])
+    def test_divergence_log_names_epoch_step_and_cause(self, tiny_prep, caplog, name, value,
+                                                       cause):
+        model = tiny_setup(seed=3)
+        model.params[name].data[:] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = train(model, tiny_prep, TrainConfig(epochs=2, batch_size=16, seed=3))
+        assert res.diverged and not res.step_losses
+        assert f"diverged at epoch 0 step 0: {cause}" in caplog.text
 
     def test_log_carries_both_loss_terms(self, tiny_prep):
         model = tiny_setup(seed=5)
