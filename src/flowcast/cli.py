@@ -46,13 +46,14 @@ def _prepare_from_config(cfg: C.RunConfig) -> PreparedData:
 
 def _write_json(path: str, doc: dict) -> None:
     """Write doc atomically. A NaN or an infinity in it is a NumericalError,
-    and any earlier file at path stays as it was."""
+    raised before anything is created: any earlier file at path stays as it
+    was, and no missing directory is made."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path} not written: {exc}") from None
     with ckpt.write_atomic(path, "w", encoding="utf-8") as fh:
-        try:
-            json.dump(doc, fh, indent=2, allow_nan=False)
-        except ValueError as exc:
-            raise NumericalError(f"{path} not written: {exc}") from None
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_train_log(path: str, result) -> None:

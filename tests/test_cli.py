@@ -190,6 +190,7 @@ def test_nan_encoder_parameter_exits_4_and_writes_nothing(cli_workspace, tmp_pat
     assert rc == 4
     assert written in capsys.readouterr().err
     assert list(tmp_path.glob("o/*")) == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_failed_csv_write_keeps_the_earlier_file(tmp_path):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowcast import data as D
+from flowcast.synthetic import sinusoid_dataset
 from malformed import framed, json_values
 
 
@@ -114,6 +116,47 @@ class TestBinFormat:
             D.load_dataset("x.npz", "npz")
 
 
+def loop_interpolate(ds):
+    """The per-node np.interp loop that data.interpolate replaced: the reference
+    its one vectorised pass must equal bit for bit."""
+    values = ds.values.astype(np.float64)
+    steps = np.arange(ds.num_steps)
+    out = values.copy()
+    for node in range(ds.num_nodes):
+        missing = ds.missing_mask[:, node]
+        if not missing.any():
+            continue
+        observed = ~missing
+        if not observed.any():
+            raise D.DataError(f"node {node} has no observed values")
+        out[:, node] = np.interp(steps, steps[observed], values[observed, node])
+    return D.SeriesDataset(out.astype(np.float32), np.zeros_like(ds.missing_mask),
+                           interval_minutes=ds.interval_minutes, name=ds.name)
+
+
+def outcome(fn, ds):
+    """(values bits, None) or (None, DataError text)."""
+    try:
+        return fn(ds).values.view(np.uint32), None
+    except D.DataError as exc:
+        return None, str(exc)
+
+
+def masked_series(values, mask):
+    values = np.asarray(values, dtype=np.float32)
+    mask = np.asarray(mask, dtype=bool)
+    return D.SeriesDataset(np.where(mask, np.float32(0), values), mask)
+
+
+@st.composite
+def series_with_gaps(draw):
+    t = draw(st.integers(min_value=1, max_value=20))
+    n = draw(st.integers(min_value=1, max_value=6))
+    values = draw(arrays(np.float32, (t, n), elements=st.floats(
+        width=32, allow_nan=False, allow_infinity=False)))
+    return masked_series(values, draw(arrays(bool, (t, n))))
+
+
 class TestInterpolate:
     def series(self, vals, missing):
         vals = np.asarray(vals, dtype=np.float32)[:, None]
@@ -153,15 +196,50 @@ class TestInterpolate:
         twice = D.interpolate(once)
         assert np.array_equal(once.values, twice.values)
 
+    @settings(max_examples=400, deadline=None)
+    @given(series_with_gaps())
+    # runs at the start and at the end of the series, and a lone observed cell
+    @example(masked_series([[1], [2], [3], [4], [5]], [[1], [0], [1], [0], [1]]))
+    @example(masked_series([[7]], [[0]]))
+    # fully observed and fully missing nodes; the error names the first such node
+    @example(masked_series([[1, 2, 3], [4, 5, 6]], [[0, 1, 1], [0, 1, 1]]))
+    # node 0's run ends the series and node 1's begins it: the two runs touch
+    # in node-major order and must stay two runs
+    @example(masked_series([[1, 10], [2, 20], [3, 30], [4, 40]],
+                           [[0, 1], [0, 1], [1, 0], [1, 0]]))
+    @example(masked_series([[1, 10, 100], [2, 20, 200], [3, 30, 300]],
+                           [[0, 1, 0], [1, 1, 1], [1, 0, 0]]))
+    def test_equals_the_per_node_loop_bit_for_bit(self, ds):
+        got_bits, got_error = outcome(D.interpolate, ds)
+        want_bits, want_error = outcome(loop_interpolate, ds)
+        assert got_error == want_error
+        assert np.array_equal(got_bits, want_bits)  # None == None when both raise
+
 
 class TestFullPipeline:
     def test_series_with_missing_cells_prepares_cleanly(self):
-        from flowcast.synthetic import sinusoid_dataset
         ds = sinusoid_dataset(nodes=5, steps=150, seed=7, missing_frac=0.1)
         assert ds.missing_mask.any()
         prep = D.prepare(ds)
         assert np.isfinite(prep.raw).all()
         assert np.isfinite(prep.norm).all()
+
+    def test_prepare_equals_the_loop_composition_bit_for_bit(self):
+        # the same raw and norm arrays mean the same checkpoints and forecasts
+        ds = sinusoid_dataset(nodes=40, steps=600, missing_frac=0.1)
+        raw = loop_interpolate(ds).values
+        stats = D.fit_normalizer(raw)
+        norm = stats.apply(raw).astype(np.float32)
+        prep = D.prepare(ds)
+        assert prep.raw.dtype == raw.dtype and prep.norm.dtype == norm.dtype
+        assert np.array_equal(prep.raw.view(np.uint32), raw.view(np.uint32))
+        assert np.array_equal(prep.norm.view(np.uint32), norm.view(np.uint32))
+        assert (prep.stats.mean, prep.stats.std) == (stats.mean, stats.std)
+        train, val, test = D.split_windows(D.window_starts(600))
+        assert prep.splits.keys() == {"train", "val", "test"}
+        for got, want in zip((prep.splits[k] for k in ("train", "val", "test")),
+                             (train, val, test)):
+            assert np.array_equal(got, want)
 
 
 class TestNormalizer:
