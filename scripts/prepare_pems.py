@@ -15,6 +15,7 @@ import argparse
 
 import numpy as np
 
+from flowcast.checkpoint import write_atomic
 from flowcast.data import SeriesDataset, save_bin
 
 
@@ -42,7 +43,8 @@ def main():
     else:
         out = flow.astype(np.float64)
         out[mask] = np.nan
-        np.savetxt(args.out_path, out, delimiter=",", fmt="%.4f")
+        with write_atomic(args.out_path, "w") as fh:
+            np.savetxt(fh, out, delimiter=",", fmt="%.4f")
     print(f"wrote {args.out_path}")
 
 

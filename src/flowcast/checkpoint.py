@@ -42,14 +42,14 @@ def write_atomic(path: str, mode: str = "wb", **open_kwargs):
 
 
 def save(path: str, params: dict[str, np.ndarray], config: dict,
-         epoch: int, val_mae: float) -> None:
+         epoch: int, val_mae: float | None) -> None:
     header = {
         "config": config,
         "epoch": epoch,
         "val_mae": val_mae,
         "param_shapes": {name: list(arr.shape) for name, arr in sorted(params.items())},
     }
-    payload = json.dumps(header).encode("utf-8")
+    payload = json.dumps(header, allow_nan=False).encode("utf-8")
     with write_atomic(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(payload)))

@@ -23,6 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .checkpoint import write_atomic
+
 BIN_MAGIC = b"ESGCNDS1"
 TRAIN_FRACTION = 0.6   # of time steps for the normalizer, and of windows
 VAL_FRACTION = 0.2     # of windows; the rest are test windows
@@ -76,15 +78,14 @@ def load_csv(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty file is our error below
-            values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            # parsed as float64 and rounded, so beyond float32 range -> inf, masked
+            values = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
     except FileNotFoundError:
         raise DataError(f"data file not found: {path}") from None
     except ValueError as exc:
         raise DataError(f"malformed csv {path}: {exc}") from None
     if values.size == 0:
         raise DataError(f"empty data file: {path}")
-    with np.errstate(over="ignore"):
-        values = values.astype(np.float32)     # beyond float32 range -> inf, masked
     return SeriesDataset(*_fill_missing(values, False, zeros_as_missing), name=str(path))
 
 
@@ -123,7 +124,7 @@ def load_bin(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
 def save_bin(ds: SeriesDataset, path: str) -> None:
     header = json.dumps({"T": ds.num_steps, "N": ds.num_nodes,
                          "interval_minutes": ds.interval_minutes, "has_mask": True}).encode("utf-8")
-    with open(path, "wb") as fh:
+    with write_atomic(path) as fh:
         fh.write(BIN_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)

@@ -26,6 +26,7 @@ a smooth but steep coordinate fails only if its gradient is wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -180,61 +181,27 @@ def _project(out: T.Tensor, w: np.ndarray) -> T.Tensor:
     return T.sum_over_axis(T.mul(out, T.Tensor(w, dtype=np.float64)))
 
 
-def _binary_case(name: str, fn) -> OpCase:
+def _case(name: str, op, **leaves) -> OpCase:
+    """op applied to fresh leaves, passed in keyword order. A leaf is a shape,
+    drawn uniform in [-2, 2], or a (maker, shape) pair; the projection is
+    drawn after the leaves, in the op's output shape."""
+
     def build(rng):
-        a = _leaf(rng, (3, 4, 2, 5))
-        b = _leaf(rng, (3, 4, 2, 5))
-        w = _projection(rng, (3, 4, 2, 5))
-        return {"a": a, "b": b}, lambda: _project(fn(a, b), w)
+        made = {key: spec[0](rng, spec[1]) if callable(spec[0]) else _leaf(rng, spec)
+                for key, spec in leaves.items()}
+        w = _projection(rng, op(*made.values()).shape)
+        return made, lambda: _project(op(*made.values()), w)
 
     return OpCase(name, build)
-
-
-def _unary_case(name: str, fn, away_from_zero=False) -> OpCase:
-    def build(rng):
-        maker = _away_from_zero if away_from_zero else _leaf
-        x = maker(rng, (3, 4, 2, 5))
-        w = _projection(rng, fn(x).shape)
-        return {"x": x}, lambda: _project(fn(x), w)
-
-    return OpCase(name, build)
-
-
-def _case_channel_linear() -> OpCase:
-    def build(rng):
-        x = _leaf(rng, (2, 6, 4, 3))
-        w = _leaf(rng, (5, 6))
-        b = _leaf(rng, (5,))
-        proj = _projection(rng, (2, 5, 4, 3))
-        return ({"x": x, "weight": w, "bias": b},
-                lambda: _project(T.channel_linear(x, w, b), proj))
-
-    return OpCase("channel_linear", build)
 
 
 def _case_gated_block(stride: int, t: int) -> OpCase:
-    def build(rng):
-        b, c, n, d = 2, 3, 4, 5
-        # in gated_block's argument order
-        leaves = {"x": _leaf(rng, (b, c, n, t)),
-                  "embed_w": _leaf(rng, (d, c, 1, 3)), "embed_b": _leaf(rng, (d,)),
-                  "gate_w": _leaf(rng, (d, c, 1, 3)), "gate_b": _leaf(rng, (d,)),
-                  "gamma": _leaf(rng, (d,), low=0.5, high=1.5), "beta": _leaf(rng, (d,))}
-        w = _projection(rng, (b, d, n, T.conv_time_length(t, stride)))
-        return leaves, lambda: _project(T.gated_block(*leaves.values(), stride), w)
-
-    return OpCase(f"gated_block_s{stride}", build)
-
-
-def _case_cosine_correlate() -> OpCase:
-    def build(rng):
-        rep = _leaf(rng, (2, 6, 4))
-        feat = _leaf(rng, (2, 6, 4, 3))
-        w = _projection(rng, (2, 4, 4, 3))
-        return ({"rep": rep, "feat": feat},
-                lambda: _project(T.cosine_correlate(rep, feat), w))
-
-    return OpCase("cosine_correlate", build)
+    b, c, n, d = 2, 3, 4, 5
+    # in gated_block's argument order
+    return _case(f"gated_block_s{stride}", lambda *leaves: T.gated_block(*leaves, stride),
+                 x=(b, c, n, t), embed_w=(d, c, 1, 3), embed_b=(d,),
+                 gate_w=(d, c, 1, 3), gate_b=(d,),
+                 gamma=(partial(_leaf, low=0.5, high=1.5), (d,)), beta=(d,))
 
 
 def _case_edge_max() -> OpCase:
@@ -255,18 +222,6 @@ def _case_edge_max() -> OpCase:
     return OpCase("edge_max", build)
 
 
-def _case_edge_mix() -> OpCase:
-    def build(rng):
-        s = _leaf(rng, (2, 4, 4, 3))
-        f = _leaf(rng, (2, 5, 4, 3))
-        a = _leaf(rng, (2, 4, 4))
-        w = _projection(rng, (2, 5, 4))
-        return ({"corr": s, "feat": f, "adj": a},
-                lambda: _project(T.edge_mix(s, f, a), w))
-
-    return OpCase("edge_mix", build)
-
-
 def _case_huber() -> OpCase:
     def build(rng):
         # keep |pred - target| away from the delta=1 seam
@@ -283,20 +238,21 @@ def _case_huber() -> OpCase:
 def default_registry() -> list[OpCase]:
     """Every differentiable op the model calls; gated_block once per stride,
     the stride-2 case at an odd time extent."""
+    shape = (3, 4, 2, 5)
     return [
-        _binary_case("add", T.add),
-        _binary_case("mul", T.mul),
-        _unary_case("neg", T.neg),
-        _unary_case("tanh", T.tanh),
-        _unary_case("relu", T.relu, away_from_zero=True),
-        _unary_case("sum_over_axis", lambda x: T.sum_over_axis(x, axis=1)),
-        _unary_case("take_time", lambda x: T.take_time(x, 2)),
-        _case_channel_linear(),
+        _case("add", T.add, a=shape, b=shape),
+        _case("mul", T.mul, a=shape, b=shape),
+        _case("neg", T.neg, x=shape),
+        _case("tanh", T.tanh, x=shape),
+        _case("relu", T.relu, x=(_away_from_zero, shape)),
+        _case("sum_over_axis", lambda x: T.sum_over_axis(x, axis=1), x=shape),
+        _case("take_time", lambda x: T.take_time(x, 2), x=shape),
+        _case("channel_linear", T.channel_linear, x=(2, 6, 4, 3), weight=(5, 6), bias=(5,)),
         _case_gated_block(stride=1, t=4),
         _case_gated_block(stride=2, t=3),
-        _case_cosine_correlate(),
+        _case("cosine_correlate", T.cosine_correlate, rep=(2, 6, 4), feat=(2, 6, 4, 3)),
         _case_edge_max(),
-        _case_edge_mix(),
+        _case("edge_mix", T.edge_mix, corr=(2, 4, 4, 3), feat=(2, 5, 4, 3), adj=(2, 4, 4)),
         _case_huber(),
     ]
 

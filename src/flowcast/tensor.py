@@ -601,19 +601,22 @@ def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
                 idx_si[s0:s1, i0:i1] = (c - hit.max(axis=0)) % c
 
     def backward(g):
-        dcorr = np.empty_like(corr.data)
+        # the row of feat viewed as [b*c*n, l] that won each edge [s, k, i]
+        rows = ((np.arange(b)[:, None, None] * c + idx) * n + np.arange(n)).ravel()
+        # feat[s, c, i, t] collects g * corr from every target whose max it is;
+        # the products, rounded in their own dtype, go into the float64
+        # buffer that bincount reads without a copy
         dfeat = np.empty_like(feat.data)
-        src = np.arange(n)
-        for s in range(b):
-            best = idx[s]                                     # [k, i]
-            dcorr[s] = g[s][..., None] * feat.data[s][best, src]
-            # feat[c, i, t] collects g * corr from every target whose max it is
-            slot = (best * n + src).ravel()
-            for t in range(l):
-                dfeat[s, ..., t] = np.bincount(slot, weights=(g[s] * corr.data[s, ..., t]).ravel(),
-                                               minlength=c * n).reshape(c, n)
-        _accumulate(corr, dcorr)
+        weights = np.empty(rows.size)
+        for t in range(l):
+            np.multiply(g, corr.data[..., t], out=weights.reshape(g.shape))
+            dfeat[..., t] = np.bincount(rows, weights, minlength=b * c * n).reshape(b, c, n)
+        del weights             # each batch-sized temporary goes before the next comes
         _accumulate(feat, dfeat)
+        dcorr = np.take(feat.data.reshape(b * c * n, l), rows, axis=0).reshape(corr.shape)
+        del rows
+        dcorr *= g[..., None]
+        _accumulate(corr, dcorr)
 
     return _make(y, (corr, feat), backward, "edge_max", kinks=idx)
 

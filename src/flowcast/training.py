@@ -33,7 +33,7 @@ class EpochLog:
 class TrainResult:
     best_state: dict[str, np.ndarray]
     best_epoch: int
-    best_val_mae: float
+    best_val_mae: float | None       # None when no epoch validated
     epochs: list[EpochLog] = field(default_factory=list)
     step_losses: list[tuple[float, float]] = field(default_factory=list)
     diverged: bool = False
@@ -137,4 +137,5 @@ def train(model: Forecaster, prep: PreparedData, cfg: TrainConfig,
     if result.best_epoch < 0:
         # never reached a validation pass; current parameters are the last good ones
         result.best_state = model.state_arrays()
+        result.best_val_mae = None
     return result

@@ -30,6 +30,16 @@ def test_round_trip(tmp_path):
     assert header["config"]["run"]["train"]["seed"] == 3
 
 
+def test_header_is_strict_json(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt.save(str(path), sample_params(), {}, epoch=-1, val_mae=None)
+    assert ckpt.load(str(path))[1]["val_mae"] is None
+    # Infinity and NaN are not JSON: refused before anything is written
+    with pytest.raises(ValueError):
+        ckpt.save(str(tmp_path / "inf.ckpt"), sample_params(), {}, epoch=0, val_mae=np.inf)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_corrupt_magic_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"WRONGMAG" + b"\x00" * 64)

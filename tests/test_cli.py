@@ -193,6 +193,24 @@ def test_nan_encoder_parameter_exits_4_and_writes_nothing(cli_workspace, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+def test_run_that_never_validated_saves_null_val_mae_and_evals(cli_workspace, tmp_path,
+                                                               monkeypatch):
+    from flowcast.optim import Adam
+
+    def diverge(self):
+        raise NumericalError("non-finite gradient")
+
+    monkeypatch.setattr(Adam, "step", diverge)   # the first epoch diverges at step 0
+    out = tmp_path / "t"
+    assert main(["train", "--config", str(cli_workspace / "cfg.json"), "--out", str(out)]) == 4
+    _, header = ckpt.load(str(out / "best.ckpt"))
+    assert (header["epoch"], header["val_mae"]) == (-1, None)
+    assert read_json(out / "metrics.json")["runs"][0]["best_val_mae"] is None
+    assert main(["eval", str(out / "best.ckpt"), "--out", str(tmp_path / "e")]) == 0
+    assert read_json(tmp_path / "e" / "metrics.json")["checkpoint"] == {"epoch": -1,
+                                                                        "val_mae": None}
+
+
 def test_failed_csv_write_keeps_the_earlier_file(tmp_path):
     path = tmp_path / "train_log.csv"
     row = dict(epoch=1, lr=1e-3, train_huber=0.5, train_contrast=0.1,

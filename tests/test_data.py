@@ -81,6 +81,18 @@ class TestBinFormat:
         assert np.array_equal(back.missing_mask, mask)
         assert back.interval_minutes == 10
 
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "series.bin"
+        D.save_bin(D.SeriesDataset(np.ones((4, 2), dtype=np.float32), np.zeros((4, 2), bool)),
+                   str(path))
+        before = path.read_bytes()
+        # the mask cannot be cast to uint8, so the write stops after the values
+        bad = D.SeriesDataset(np.zeros((4, 2), dtype=np.float32), np.full((4, 2), "x"))
+        with pytest.raises(ValueError):
+            D.save_bin(bad, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["series.bin"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

@@ -10,29 +10,6 @@ def rand_f4(rng, b=2, c=8, n=5, l=2, dtype=np.float32):
     return T.Tensor(rng.normal(size=(b, c, n, l)).astype(dtype))
 
 
-def relational_features(s: T.Tensor, f4: T.Tensor) -> T.Tensor:
-    """Numpy reference for R [b, c, n_src, n_tgt], R[b, c, i, k] = sum_t s[b, k, i, t] f4[b, c, i, t].
-
-    The model never forms R. This recomputes it one sample at a time, so that
-    it is batch invariant, and records no gradient.
-    """
-    T._edge_operands("relational_features", s, f4)
-    b, c, n, _ = f4.shape
-    r = np.empty((b, c, n, s.shape[1]), dtype=f4.dtype)
-    for sample in range(b):
-        # per source node i: f4[:, i, :] [c, l] @ s[:, i, :].T [l, k]
-        r[sample] = np.matmul(f4.data[sample].transpose(1, 0, 2),
-                              s.data[sample].transpose(1, 2, 0)).transpose(1, 0, 2)
-    return T.Tensor(r)
-
-
-@pytest.fixture(autouse=True)
-def edge_state_rel(monkeypatch):
-    """In these tests an EdgeState also reads as R through the reference above."""
-    monkeypatch.setattr(G.EdgeState, "rel", property(lambda st: relational_features(st.s, st.f4)),
-                        raising=False)
-
-
 def build_edge_graph(attention_op="max", representative="last", c=8, seed=0):
     cfg = ModelConfig(channels=(c, c, c, c), head_hidden=c,
                       attention_op=attention_op, representative=representative)
@@ -109,37 +86,6 @@ class TestCorrelations:
         s = T.cosine_correlate(rep, T.Tensor(f_c))
         assert np.allclose(s.data[0, 0, 1], 0.0)
         assert np.allclose(s.data[0, 1, 0], 0.0)
-
-
-class TestRelationalFeatures:
-    def test_all_ones_correlations_sum_time(self):
-        rng = np.random.default_rng(4)
-        f4 = rand_f4(rng, b=1, c=3, n=4, l=2)
-        s = T.Tensor(np.ones((1, 4, 4, 2), dtype=np.float32))
-        r = relational_features(s, f4)
-        expected = f4.data.sum(axis=3)  # [1, c, n]
-        for k in range(4):
-            assert np.allclose(r.data[0, :, :, k], expected[0], atol=1e-6)
-
-    def test_zero_correlations_zero_features(self):
-        f4 = rand_f4(np.random.default_rng(5), b=1, c=3, n=4, l=2)
-        s = T.Tensor(np.zeros((1, 4, 4, 2), dtype=np.float32))
-        assert np.allclose(relational_features(s, f4).data, 0.0)
-
-    def test_single_step_is_weighted_slice(self):
-        rng = np.random.default_rng(6)
-        f4 = rand_f4(rng, b=1, c=3, n=4, l=1)
-        s = T.Tensor(rng.normal(size=(1, 4, 4, 1)).astype(np.float32))
-        r = relational_features(s, f4)
-        for k in range(4):
-            expected = s.data[0, k, :, 0][None, :] * f4.data[0, :, :, 0]
-            assert np.allclose(r.data[0, :, :, k], expected, atol=1e-6)
-
-    def test_time_extent_mismatch_rejected(self):
-        f4 = rand_f4(np.random.default_rng(7), l=2)
-        s = T.Tensor(np.zeros((2, 5, 5, 3), dtype=np.float32))
-        with pytest.raises(T.ShapeError):
-            relational_features(s, f4)
 
 
 def explicit_rel(s, f4):
@@ -282,14 +228,6 @@ class TestAgainstExplicitRelation:
             dev = float(np.abs(f64(got) - want).max()) / max(float(np.abs(want).max()), 1e-6)
             assert dev <= 1e-5, f"{name}: relative deviation {dev:.2e}"
 
-    def test_lazy_rel_matches_reference(self):
-        eg, _ = build_edge_graph()
-        f4 = rand_f4(np.random.default_rng(16), b=2, n=6)
-        state = eg.forward(f4)
-        want = explicit_rel(state.s.data, f4.data)
-        assert state.rel.shape == (2, 8, 6, 6)
-        assert np.allclose(state.rel.data, want, rtol=1e-5, atol=1e-6)
-
 
 def buffer_elements(arr: np.ndarray) -> int:
     """Elements of the array that owns arr's memory: a view counts as its buffer."""
@@ -378,7 +316,7 @@ class TestAdjacencyInvariants:
         batch = eg.forward(f4)
         for i in range(4):
             single = eg.forward(T.Tensor(f4.data[i:i + 1]))
-            for attr in ("s", "rel", "adj", "adj_reversed", "f_g", "f_gr"):
+            for attr in ("s", "adj", "adj_reversed", "f_g", "f_gr"):
                 got = getattr(batch, attr).data[i]
                 alone = getattr(single, attr).data[0]
                 assert np.array_equal(got, alone), f"{attr} differs between batch sizes"

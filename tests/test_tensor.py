@@ -437,6 +437,23 @@ def edge_max_both(corr, feat):
     return out.data, out.kinks, plain.data
 
 
+def loop_edge_max_grads(corr, feat, idx, g):
+    """The per-sample gather and scatter that edge_max's backward replaced:
+    the reference its batch-wide pass must equal bit for bit."""
+    b, c, n, l = feat.shape
+    dcorr = np.empty_like(corr)
+    dfeat = np.empty_like(feat)
+    src = np.arange(n)
+    for s in range(b):
+        best = idx[s]                                     # [k, i]
+        dcorr[s] = g[s][..., None] * feat[s][best, src]
+        slot = (best * n + src).ravel()
+        for t in range(l):
+            dfeat[s, ..., t] = np.bincount(slot, weights=(g[s] * corr[s, ..., t]).ravel(),
+                                           minlength=c * n).reshape(c, n)
+    return dcorr, dfeat
+
+
 class TestEdgeMaxBlocks:
     # 1000 elements per block: at c=4, n=10 a block holds 2 samples (ragged
     # at b=3 and 7); at c=4, n=37 it holds 6 of one sample's sources, the last
@@ -465,6 +482,28 @@ class TestEdgeMaxBlocks:
                     else:
                         assert np.array_equal(y, want_y)
                     assert np.array_equal(idx, want_idx)
+
+    @pytest.mark.parametrize("block", [1000, T.CACHE_BLOCK])
+    @pytest.mark.parametrize("c", [1, 4, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_the_per_sample_loop_bit_for_bit(self, monkeypatch, block, c, dtype):
+        monkeypatch.setattr(T, "CACHE_BLOCK", block)
+        rng = np.random.default_rng(c + 1)
+        for n in (1, 2, 10, 37):
+            for b in (1, 3, 7):
+                for l in (1, 2, 3):
+                    corr = T.Tensor(rng.uniform(-1, 1, size=(b, n, n, l)).astype(dtype),
+                                    requires_grad=True)
+                    feat = T.Tensor(rng.normal(size=(b, c, n, l)).astype(dtype),
+                                    requires_grad=True)
+                    feat.data[:, c // 2] *= 10.0   # many targets share a source's max
+                    out = T.edge_max(corr, feat)
+                    g = rng.normal(size=out.shape).astype(dtype)
+                    out._backward_fn(g)
+                    dcorr, dfeat = loop_edge_max_grads(corr.data, feat.data, out.kinks, g)
+                    assert corr.grad.dtype == dtype and feat.grad.dtype == dtype
+                    assert corr.grad.tobytes() == dcorr.tobytes()
+                    assert feat.grad.tobytes() == dfeat.tobytes()
 
     @pytest.mark.parametrize("c", [64, 300])
     def test_ties_go_to_the_lowest_channel(self, monkeypatch, c):

@@ -102,6 +102,7 @@ class TestTrainingLoop:
         res = train(model, tiny_prep, TrainConfig(epochs=2, batch_size=16, seed=3))
         assert res.diverged
         assert not res.step_losses
+        assert (res.best_epoch, res.best_val_mae) == (-1, None)
         for key, arr in res.best_state.items():
             assert np.array_equal(arr, before[key], equal_nan=True)
         assert "first non-finite value in parameter 'head.out.bias'" in caplog.text
