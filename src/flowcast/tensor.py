@@ -21,8 +21,9 @@ is bitwise the same whether or not it is part of a larger batch:
   both convolutions as one ``np.matmul`` against the stacked kernels. The
   tanh/sigmoid gate and the channel layer norm follow in place. It works
   in chunks of whole samples, so every elementwise pass reads a chunk
-  while it is in cache. Its backward keeps four arrays, not a chain of
-  seven nodes;
+  while it is in cache. Its backward keeps the two activations and
+  1/sigma, not a chain of seven nodes, and rebuilds the columns and the
+  normalized product chunk by chunk from its input;
 * ``edge_max`` forms the b x c x n x n relational tensor in cache-sized
   blocks of (sample, source) pairs, one GEMM per pair, and reduces each
   block over channels before the next. ``edge_mix`` never forms that
@@ -388,9 +389,12 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
     Forward and backward run in chunks of whole samples whose [chunk, d,
     n*t_out] slice holds at most CACHE_BLOCK elements, so that the
     elementwise passes and the channel reductions (a GEMM against a 1/d
-    row) read each chunk while it is in cache. Backward keeps the columns,
-    the two activations, the normalized product and 1/sigma at full size;
-    under no_grad those buffers hold one chunk and are reused.
+    row) read each chunk while it is in cache. Backward keeps the two
+    activations and 1/sigma at full size; under no_grad those buffers hold
+    one chunk and are reused. It rebuilds each chunk's columns from x and
+    its normalized product from the activations, with the forward's own
+    ops in the forward's order, so its gradients are bitwise those of kept
+    copies; x.data must not change between forward and backward.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"gated_block input must be 4-axis, got {x.shape}")
@@ -419,33 +423,46 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
     w[d:] *= 0.5
     per = max(1, min(b, CACHE_BLOCK // (d * m)))     # samples per chunk
     kept = b if record else per
-    cols = np.empty((kept, ck + 1, m), dtype=x.dtype)
-    cols[:, ck] = 1
     z = np.empty((kept, 2 * d, m), dtype=dt)
-    xhat = np.empty((kept, d, m), dtype=dt)
     inv_std = np.empty((kept, 1, m), dtype=dt)
-    sq = np.empty((per, d, m), dtype=dt)
-    xpad = np.zeros((per, c, n, stride * t_out), dtype=x.dtype) if stride * t_out != t else None
     mean_row = np.full((1, d), 1.0 / d, dtype=dt)
     eps4 = np.asarray(4.0 * eps, dtype=dt)
     y = np.empty((b, d, m), dtype=dt)
 
-    for s0 in range(0, b, per):
-        s1 = min(s0 + per, b)
-        rows = slice(s0, s1) if record else slice(0, s1 - s0)
+    def chunk_buffers():
+        """The im2col columns of one chunk, with their ones row, and the
+        zero-padded input that an odd t under stride 2 reads."""
+        cols = np.empty((per, ck + 1, m), dtype=x.dtype)
+        cols[:, ck] = 1
+        xpad = np.zeros((per, c, n, stride * t_out), dtype=x.dtype) if stride * t_out != t else None
+        return cols, xpad
+
+    def columns(s0, s1, cols, xpad):
         xc = x.data[s0:s1]
         if xpad is not None:
             xpad[:s1 - s0, ..., :t] = xc
             xc = xpad[:s1 - s0]
-        cc = cols[rows]
+        cc = cols[:s1 - s0]
         _taps(xc.reshape(s1 - s0, c, -1), cc[:, :ck].reshape(s1 - s0, c, KERNEL_T, m),
               stride, t_out)
-        zc = np.matmul(w, cc, out=z[rows])
-        np.tanh(zc, out=zc)
-        gate = zc[:, d:]
-        gate += 1.0
-        xh = np.multiply(zc[:, :d], gate, out=xhat[rows])
+        return cc
+
+    def normalized(zc, xh):
+        """Fill xh with the product e * q of activations zc, centred over channels."""
+        np.multiply(zc[:, :d], zc[:, d:], out=xh)
         xh -= np.matmul(mean_row, xh)
+        return xh
+
+    cols, xpad = chunk_buffers()
+    xhat = np.empty((per, d, m), dtype=dt)
+    sq = np.empty((per, d, m), dtype=dt)
+    for s0 in range(0, b, per):
+        s1 = min(s0 + per, b)
+        rows = slice(s0, s1) if record else slice(0, s1 - s0)
+        zc = np.matmul(w, columns(s0, s1, cols, xpad), out=z[rows])
+        np.tanh(zc, out=zc)
+        zc[:, d:] += 1.0
+        xh = normalized(zc, xhat[:s1 - s0])
         # the variance, then 1/sigma in place
         inv = np.matmul(mean_row, np.square(xh, out=sq[:s1 - s0]), out=inv_std[rows])
         inv += eps4
@@ -463,13 +480,19 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
         dbeta = np.zeros(d, dtype=dt)
         dw = np.zeros((2 * d, ck + 1), dtype=dt)
         dws = np.empty_like(dw)
+        cols, xpad = chunk_buffers()
+        xhat = np.empty((per, d, m), dtype=dt)
         work = np.empty((per, d, m), dtype=dt)
         dz = np.empty((per, 2 * d, m), dtype=dt)
         dcols = np.empty((per, ck, m), dtype=dt) if x.requires_grad else None
         dxf = np.empty((b, c, stride * m), dtype=x.dtype) if x.requires_grad else None
         for s0 in range(0, b, per):
             s1 = min(s0 + per, b)
-            gc, xh, dzc = g[s0:s1], xhat[s0:s1], dz[:s1 - s0]
+            cc = columns(s0, s1, cols, xpad)
+            gc, dzc = g[s0:s1], dz[:s1 - s0]
+            # x-hat as the forward left it: the same ops in the same order
+            xh = normalized(z[s0:s1], xhat[:s1 - s0])
+            xh *= inv_std[s0:s1]
             tmp = np.multiply(gc, xh, out=work[:s1 - s0])
             dgamma += tmp.sum(axis=(0, 2))
             dbeta += gc.sum(axis=(0, 2))
@@ -493,7 +516,7 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
             np.subtract(1.0, e, out=e)
             de *= e
             for i in range(s1 - s0):
-                dw += np.matmul(dzc[i], cols[s0 + i].T, out=dws)
+                dw += np.matmul(dzc[i], cc[i].T, out=dws)
             if dxf is not None:
                 dcc = np.matmul(w[:, :ck].T, dzc, out=dcols[:s1 - s0])
                 _taps_grad(dcc.reshape(s1 - s0, c, KERNEL_T, m), dxf[s0:s1], stride, t_out)
@@ -504,8 +527,13 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
         _accumulate(embed_b, dw[:d, ck])
         _accumulate(gate_w, dw[d:, :ck].reshape(gate_w.shape))
         _accumulate(gate_b, dw[d:, ck])
-        if dxf is not None:
-            _accumulate(x, dxf.reshape(b, c, n, -1)[..., :t])
+        if dxf is None:
+            return
+        dx = dxf.reshape(b, c, n, -1)
+        if x.grad is None and dx.shape[-1] == t:
+            x.grad = dx         # built here and aliased by nothing: no copy
+        else:
+            _accumulate(x, dx[..., :t])
 
     return _make(y.reshape(b, d, n, t_out), parents, backward, "gated_block")
 
@@ -575,7 +603,8 @@ def edge_max(corr: Tensor, feat: Tensor) -> Tensor:
     k = corr.shape[1]
     record = _records((corr, feat))
     y = np.empty((b, k, n), dtype=feat.dtype)
-    idx = np.empty((b, k, n), dtype=np.intp) if record else None
+    # the argmax in the narrowest type that holds c - 1; backward widens it
+    idx = np.empty((b, k, n), dtype=np.min_scalar_type(c)) if record else None
     # per pair (s, i) one GEMM rel[c, k] = feat[s, :, i, :] @ corr[s, :, i, :]^T,
     # written channels-outermost so that the max over c is elementwise over rows
     feat_si = feat.data.transpose(0, 2, 1, 3)          # [b, i, c, l]
@@ -637,7 +666,12 @@ def edge_mix(corr: Tensor, feat: Tensor, adj: Tensor) -> Tensor:
         raise ShapeError(f"edge_mix: adj {adj.shape} vs corr {corr.shape}")
 
     def weights():
-        return (corr.data * adj.data[..., None]).reshape(b, k, n * l)
+        # corr * adj one time plane at a time: a broadcast over the short
+        # trailing axis is several times slower
+        w = np.empty_like(corr.data)
+        for t in range(l):
+            np.multiply(corr.data[..., t], adj.data, out=w[..., t])
+        return w.reshape(b, k, n * l)
 
     feat2 = feat.data.reshape(b, c, n * l)
     y = np.matmul(feat2, weights().transpose(0, 2, 1))
@@ -645,8 +679,11 @@ def edge_mix(corr: Tensor, feat: Tensor, adj: Tensor) -> Tensor:
     def backward(g):
         _accumulate(feat, np.matmul(g, weights()).reshape(b, c, n, l))
         dw = np.matmul(g.transpose(0, 2, 1), feat2).reshape(b, k, n, l)
-        _accumulate(adj, np.einsum("bkit,bkit->bki", dw, corr.data))
-        dw *= adj.data[..., None]
+        dadj = np.zeros_like(adj.data)
+        for t in range(l):
+            dadj += dw[..., t] * corr.data[..., t]
+            dw[..., t] *= adj.data
+        _accumulate(adj, dadj)
         _accumulate(corr, dw)
 
     return _make(y, (corr, feat, adj), backward, "edge_mix")

@@ -196,11 +196,63 @@ class TestGatedBlock:
             batch = block(x, *params, stride=stride).data
             alone = block(x[3:4], *params, stride=stride).data
         assert np.array_equal(batch[3], alone[0])
-        # a recorded forward works on slices of the kept buffers, not on
-        # reused chunk buffers, and computes the same bits
-        recorded = T.gated_block(T.Tensor(x, requires_grad=True),
-                                 *(T.Tensor(p) for p in params), stride)
+        # a recorded forward keeps z and 1/sigma per sample and computes the
+        # same bits; its backward rebuilds the columns and x-hat chunk by chunk
+        xs = T.Tensor(x, requires_grad=True)
+        recorded = T.gated_block(xs, *(T.Tensor(p) for p in params), stride)
         assert np.array_equal(recorded.data, batch)
+        g = rng.normal(size=recorded.shape).astype(np.float32)
+        recorded._backward_fn(g)
+        x3 = T.Tensor(x[3:4], requires_grad=True)
+        T.gated_block(x3, *(T.Tensor(p) for p in params), stride)._backward_fn(g[3:4])
+        assert xs.grad.shape == x.shape and xs.grad[3].tobytes() == x3.grad[0].tobytes()
+
+    @pytest.mark.parametrize("stride,t", [(1, 6), (2, 7), (2, 6)])
+    @pytest.mark.parametrize("block_first", [True, False])
+    def test_input_gradient_adds_to_another_use_in_either_order(self, stride, t, block_first):
+        # the block's input gradient either starts x.grad, handed over without
+        # a copy where it has x's shape, or adds into mul's
+        rng = np.random.default_rng(t)
+        x = rng.normal(size=(2, 3, 4, t))
+        params = [t64(p) for p in block_params(rng, 3, 5, dtype=np.float64)]
+        g = rng.normal(size=(2, 5, 4, T.conv_time_length(t, stride)))
+        v = rng.normal(size=x.shape)
+
+        def grads(*uses):
+            xs = t64(x, requires_grad=True)
+            losses = {"block": lambda: T.sum_over_axis(T.mul(T.gated_block(xs, *params, stride),
+                                                             t64(g))),
+                      "mul": lambda: T.sum_over_axis(T.mul(xs, t64(v)))}
+            loss = losses[uses[0]]()
+            for use in uses[1:]:
+                loss = T.add(loss, losses[use]())
+            loss.backward()
+            return xs.grad
+
+        both = grads(*(("block", "mul") if block_first else ("mul", "block")))
+        assert np.array_equal(both, grads("block") + v)
+        assert both.flags.c_contiguous and both.shape == x.shape
+
+    @pytest.mark.parametrize("stride,t", [(1, 12), (2, 13)])
+    def test_recorded_forward_keeps_the_activations_and_inv_std_only(self, stride, t):
+        # beyond its output a recorded block keeps z [b, 2d, m] and 1/sigma
+        # [b, 1, m]; the columns [b, 3c + 1, m] and x-hat [b, d, m] are
+        # rebuilt in backward, so neither may be held at batch size
+        rng = np.random.default_rng(12)
+        b, c, n, d = 64, 16, 40, 64
+        x = T.Tensor(rng.normal(size=(b, c, n, t)).astype(np.float32), requires_grad=True)
+        params = [T.Tensor(p) for p in block_params(rng, c, d)]
+        m = n * T.conv_time_length(t, stride)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.gated_block(x, *params, stride)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = ((2 * d + 1) * m * b + 6 * T.CACHE_BLOCK) * x.data.itemsize
+        assert peak - base - out.data.nbytes < kept
+        assert held - base - out.data.nbytes < ((2 * d + 1) * m * b + T.CACHE_BLOCK) * x.data.itemsize
 
     @pytest.mark.parametrize("stride,t", [(1, 12), (2, 13)])
     def test_nograd_forward_holds_a_few_chunks_not_a_batch(self, stride, t):
@@ -395,6 +447,13 @@ class TestLinAlg:
         with T.no_grad():
             assert T.edge_max(t64(s, requires_grad=True), t64(f)).kinks is None
 
+    def test_edge_max_keeps_its_argmax_in_the_narrowest_type(self):
+        rng = np.random.default_rng(6)
+        s, f = rng.uniform(-1, 1, size=(2, 4, 4, 2)), rng.normal(size=(2, 64, 4, 2))
+        out = T.edge_max(t64(s, requires_grad=True), t64(f))
+        assert out.kinks.dtype == np.uint8
+        assert np.array_equal(out.kinks, np.einsum("bkit,bcit->bkic", s, f).argmax(axis=-1))
+
     def test_edge_mix_is_the_relation_aggregated_through_adj(self):
         rng = np.random.default_rng(4)
         s, f, a = rng.normal(size=(2, 5, 4, 3)), rng.normal(size=(2, 6, 4, 3)), rng.normal(size=(2, 5, 4))
@@ -402,12 +461,43 @@ class TestLinAlg:
         out = T.edge_mix(t64(s), t64(f), t64(a))
         assert np.allclose(out.data, np.einsum("bcik,bki->bck", rel, a), rtol=1e-12)
 
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_mix_equals_the_broadcast_formula_byte_for_byte(self, l, dtype):
+        rng = np.random.default_rng(l)
+        b, c, k, n = 3, 6, 5, 7
+        corr, feat, adj = (T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                           for shape in ((b, k, n, l), (b, c, n, l), (b, k, n)))
+        adj.data[0, 0] = 0.0                   # zero weights, some of them -0.0
+        g = rng.normal(size=(b, c, k)).astype(dtype)
+        out = T.edge_mix(corr, feat, adj)
+        out._backward_fn(g)
+        want = broadcast_edge_mix(corr.data, feat.data, adj.data, g)
+        got = (out.data, feat.grad, adj.grad, corr.grad)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     def test_edge_ops_reject_mismatched_extents(self):
         s, f = t64(np.zeros((1, 3, 3, 2))), t64(np.zeros((1, 4, 3, 3)))
         with pytest.raises(T.ShapeError):
             T.edge_max(s, f)
         with pytest.raises(T.ShapeError):
             T.edge_mix(t64(np.zeros((1, 3, 3, 3))), f, t64(np.zeros((1, 3, 2))))
+
+
+def broadcast_edge_mix(corr, feat, adj, g):
+    """edge_mix forward and backward as they were written before the per-time
+    plane loops, broadcasting adj over the trailing axis: (y, d feat, d adj,
+    d corr) for the upstream gradient g."""
+    b, c, n, l = feat.shape
+    k = corr.shape[1]
+    w = (corr * adj[..., None]).reshape(b, k, n * l)
+    feat2 = feat.reshape(b, c, n * l)
+    y = np.matmul(feat2, w.transpose(0, 2, 1))
+    dfeat = np.matmul(g, w).reshape(b, c, n, l)
+    dw = np.matmul(g.transpose(0, 2, 1), feat2).reshape(b, k, n, l)
+    dadj = np.einsum("bkit,bkit->bki", dw, corr)
+    dw *= adj[..., None]
+    return y, dfeat, dadj, dw
 
 
 def edge_max_reference(corr, feat, channels_first=False):
@@ -445,7 +535,7 @@ def loop_edge_max_grads(corr, feat, idx, g):
     dfeat = np.empty_like(feat)
     src = np.arange(n)
     for s in range(b):
-        best = idx[s]                                     # [k, i]
+        best = idx[s].astype(np.intp)                     # [k, i]; idx may be uint8
         dcorr[s] = g[s][..., None] * feat[s][best, src]
         slot = (best * n + src).ravel()
         for t in range(l):
