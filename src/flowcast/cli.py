@@ -98,7 +98,6 @@ def cmd_train(args) -> int:
         raise C.ConfigError(f"--repeat must be >= 1, got {args.repeat}")
     cfg = _load_run_config(args)
     out_dir = cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
     prep = _prepare_from_config(cfg)
 
     runs = []
@@ -281,15 +280,23 @@ def cmd_config(args) -> int:
     raise C.ConfigError("config: nothing to do (use --dump-defaults or --check PATH)")
 
 
+def _seed(text: str) -> int:
+    """An int >= 0, as numpy's generators take; --seed applies after config validation."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flowcast",
                                      description="Traffic-flow forecasting engine")
     parser.add_argument("--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=None)
 
-    p = sub.add_parser("train", help="train a model from a config file")
+    p = sub.add_parser("train", parents=[seeded], help="train a model from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--repeat", type=int, default=1, help="train N seeds and aggregate")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_train)
@@ -315,14 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reversed", action="store_true")
     p.set_defaults(fn=cmd_export_aam)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every op")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("gradcheck", parents=[seeded], help="finite-difference check of every op")
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="train and score a preset family of variants")
+    p = sub.add_parser("ablate", parents=[seeded],
+                       help="train and score a preset family of variants")
     p.add_argument("preset")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_ablate)
 

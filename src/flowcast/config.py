@@ -179,5 +179,7 @@ def validate(cfg: RunConfig) -> None:
             raise ConfigError(f"train.{name} must be positive, got {v}")
     if t.weight_decay < 0:
         raise ConfigError(f"train.weight_decay must be >= 0, got {t.weight_decay}")
+    if t.seed < 0:
+        raise ConfigError(f"train.seed must be >= 0, got {t.seed}")
     if t.clip is not None and t.clip <= 0:
         raise ConfigError(f"train.clip must be positive when set, got {t.clip}")

@@ -13,10 +13,11 @@ Pipeline per forward pass:
    F4[b, c, i, t]; R [b, c, n_src, n_tgt] is never stored whole;
 5. squeeze R's channel axis (max by default), tanh, and rectify into the
    adjacency matrix A and its sign-reversed counterpart A_r - the two are
-   elementwise disjoint by construction and live in [0, 1). The max is the
-   fused ``edge_max``, which forms R in cache-sized blocks of (sample,
-   source) pairs and reduces each block at once; the channel mean of R is
-   sum_t S * mean_c(F4) and needs no R at all;
+   elementwise disjoint by construction and live in [0, 1). Every squeeze
+   is the fused ``edge_max``, which forms R in cache-sized blocks of
+   (sample, source) pairs and reduces each block at once. R is linear in
+   F4, so the channel mean of R is R of the one-channel mean_c(F4), whose
+   max over its one channel is itself: ``avg`` is ``edge_max`` over it;
 6. aggregate R with each adjacency and map through a shared linear layer.
    ``edge_mix`` contracts S, F4 and A by associativity as one batched
    matmul, a GEMM per sample, so R is not formed here either. The A_r
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import params as P
 from . import tensor as T
-from .config import ModelConfig
+from .config import ATTENTION_OPS, ModelConfig
 
 REP_INDEX = {
     "last": lambda l: l - 1,
@@ -57,29 +58,20 @@ def representative(f_c: T.Tensor, position: str) -> T.Tensor:
     return T.take_time(f_c, REP_INDEX[position](l))
 
 
-def squeeze_base(s: T.Tensor, f4: T.Tensor, op: str, affine_w: T.Tensor | None = None,
-                 affine_b: T.Tensor | None = None) -> T.Tensor:
-    """Channel-squeeze R into tanh pre-edges, oriented [b, target, source]."""
-    if op in ("max", "max_learned"):
-        pre = T.edge_max(s, f4)
-        if op == "max_learned":
-            pre = T.add(T.mul(pre, affine_w), affine_b)
-    elif op == "avg":
-        # mean_c R[c, i, k] = sum_t s[k, i, t] * mean_c f4[c, i, t]; the channel
-        # mean [b, 1, n, l] is a 1x1 map through a constant row of 1/c
-        c = f4.shape[1]
-        mean = T.channel_linear(f4, T.Tensor(np.full((1, c), 1.0 / c, dtype=f4.dtype)))
-        pre = T.sum_over_axis(T.mul(s, mean), axis=3)
-    else:
-        raise ValueError(f"unknown attention op {op!r}")
-    return T.tanh(pre)
-
-
 def squeeze_adjacency(s: T.Tensor, f4: T.Tensor, op: str, affine_w: T.Tensor | None = None,
                       affine_b: T.Tensor | None = None) -> tuple[T.Tensor, T.Tensor]:
-    """A and A_r [b, target, source]: the disjoint positive and negative parts."""
-    base = squeeze_base(s, f4, op, affine_w, affine_b)
-    return T.relu(base), T.relu(T.neg(base))
+    """A and A_r [b, target, source]: the disjoint parts of tanh of R's channel squeeze."""
+    if op not in ATTENTION_OPS:
+        raise ValueError(f"unknown attention op {op!r}")
+    if op == "avg":
+        # mean_c R is R of the one-channel mean of f4: a 1x1 map through a row of 1/c
+        c = f4.shape[1]
+        f4 = T.channel_linear(f4, T.Tensor(np.full((1, c), 1.0 / c, dtype=f4.dtype)))
+    pre = T.edge_max(s, f4)
+    if op == "max_learned":
+        pre = T.add(T.mul(pre, affine_w), affine_b)
+    pre = T.tanh(pre)   # rebound: a no_grad pass frees the raw squeeze before A and A_r
+    return T.relu(pre), T.relu(T.neg(pre))
 
 
 def gcn(s: T.Tensor, f4: T.Tensor, adj: T.Tensor, weight: T.Tensor,
@@ -92,7 +84,6 @@ def gcn(s: T.Tensor, f4: T.Tensor, adj: T.Tensor, weight: T.Tensor,
 class EdgeState:
     """Intermediates kept for losses, export and tests."""
     s: T.Tensor          # correlations [b, n, n, l]
-    f4: T.Tensor         # deepest temporal features [b, c, n, l]
     adj: T.Tensor        # [b, n_tgt, n_src]
     adj_reversed: T.Tensor
     f_g: T.Tensor        # [b, c, n]
@@ -132,4 +123,4 @@ class EdgeGraph:
         f_g = gcn(s, f4, adj, self.gcn_w, self.gcn_b)
         # only the contrastive loss reads the reversed aggregation
         f_gr = gcn(s, f4, adj_rev, self.gcn_w, self.gcn_b) if adj_rev.requires_grad else None
-        return EdgeState(s, f4, adj, adj_rev, f_g, f_gr)
+        return EdgeState(s, adj, adj_rev, f_g, f_gr)

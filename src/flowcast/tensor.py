@@ -253,12 +253,11 @@ def relu(a: Tensor) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def sum_over_axis(a: Tensor, axis=None) -> Tensor:
-    y = a.data.sum(axis=axis)
+def sum_over_axis(a: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
+    y = a.data.sum()
 
     def backward(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
 
     return _make(np.asarray(y), (a,), backward, "sum")

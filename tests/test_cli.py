@@ -193,6 +193,13 @@ def test_nan_encoder_parameter_exits_4_and_writes_nothing(cli_workspace, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+def test_train_on_a_missing_data_file_exits_2_and_makes_no_out_dir(tmp_path):
+    cfg = {"data": {"path": str(tmp_path / "absent.csv")}, "output": {"dir": str(tmp_path / "o")}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_that_never_validated_saves_null_val_mae_and_evals(cli_workspace, tmp_path,
                                                                monkeypatch):
     from flowcast.optim import Adam
@@ -365,6 +372,18 @@ class TestExportAam:
         block = a[:45, :45]
         assert block.shape == (45, 45)
         assert block.min() >= 0.0 and block.max() < 1.0
+
+
+@pytest.mark.parametrize("argv", [["train", "--config", "cfg.json"],
+                                  ["ablate", "table3", "--config", "cfg.json"],
+                                  ["gradcheck"]])
+def test_negative_seed_flag_exits_2_without_a_traceback(cli_workspace, capsys, argv):
+    argv = [str(cli_workspace / a) if a == "cfg.json" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed: must be >= 0, got -1" in err and "Traceback" not in err
 
 
 class TestGradcheckCommand:

@@ -106,6 +106,7 @@ def test_unknown_section_rejected():
     {"train": {"lr0": float("nan")}},
     {"train": {"clip": "1"}},
     {"train": {"seed": True}},
+    {"train": {"seed": -1}},     # numpy's generators take no negative seed
 ])
 def test_invalid_values_rejected(doc):
     with pytest.raises(C.ConfigError):

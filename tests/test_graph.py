@@ -150,7 +150,9 @@ class TestSqueezeAttention:
         rel = explicit_rel(s.data, f4.data)
         squeezed = rel.max(axis=1) if op == "max" else rel.mean(axis=1)
         expected = np.tanh(squeezed.transpose(0, 2, 1))
-        assert np.allclose(G.squeeze_base(s, f4, op).data, expected, rtol=1e-12, atol=1e-12)
+        adj, adj_rev = G.squeeze_adjacency(s, f4, op)
+        # one of relu(x) and relu(-x) is 0, so their difference is x exactly
+        assert np.allclose(adj.data - adj_rev.data, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestGraphConv:
@@ -273,6 +275,21 @@ class TestNoDenseRelation:
         assert any(node.op == "edge_max" for node in nodes)
         assert oversized_buffers(nodes, b * c * n * n) == []
         loss.backward()
+
+    def test_avg_squeeze_holds_nothing_of_the_correlations_size(self):
+        """The avg squeeze goes through edge_max over the channel mean; no
+        node or closure past the correlations is as large as they are."""
+        b, c, n = 2, 8, 24
+        rng = np.random.default_rng(18)
+        s = T.Tensor(rng.uniform(-1.0, 1.0, size=(b, n, n, 2)).astype(np.float32),
+                     requires_grad=True)
+        f4 = rand_f4(rng, b=b, c=c, n=n)
+        f4.requires_grad = True
+        adj, adj_rev = G.squeeze_adjacency(s, f4, "avg")
+        nodes = [node for node in T._topo_order(T.add(T.sum_over_axis(adj),
+                                                       T.sum_over_axis(adj_rev)))
+                 if node is not s]
+        assert oversized_buffers(nodes, s.size) == []
 
     def test_a_small_view_of_a_dense_relation_is_caught(self):
         b, c, n = 2, 8, 24
