@@ -29,7 +29,7 @@ from . import tensor as T
 from .data import DataError, PreparedData, load_dataset, make_batch, prepare
 from .model import Forecaster
 from .optim import NumericalError
-from .training import evaluate, persistence_metrics, train
+from .training import EpochLog, evaluate, persistence_metrics, train
 
 logger = logging.getLogger(__name__)
 
@@ -57,13 +57,11 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _write_train_log(path: str, result) -> None:
+    columns = [f.name for f in dataclasses.fields(EpochLog)]
     with ckpt.write_atomic(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "train_huber", "train_contrast",
-                         "val_rmse", "val_mae", "val_mape"])
-        for e in result.epochs:
-            writer.writerow([e.epoch, repr(e.lr), repr(e.train_huber), repr(e.train_contrast),
-                             repr(e.val_rmse), repr(e.val_mae), repr(e.val_mape)])
+        writer.writerow(columns)
+        writer.writerows([repr(getattr(e, name)) for name in columns] for e in result.epochs)
 
 
 def _write_csv(out_dir: str, name: str, matrix: np.ndarray, fmt: str) -> str:

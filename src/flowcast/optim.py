@@ -13,8 +13,7 @@ class NumericalError(RuntimeError):
     """Non-finite values where finite ones are required."""
 
 
-def lr_at_epoch(epoch: int, lr0: float = 0.0003, decay: float = 0.7,
-                every: int = 5) -> float:
+def lr_at_epoch(epoch: int, lr0: float, decay: float, every: int) -> float:
     """lr0 * decay^floor(epoch/every); epoch counts from 0."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")

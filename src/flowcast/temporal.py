@@ -26,9 +26,9 @@ class WBlock:
                  rng: np.random.Generator, store: dict[str, T.Tensor],
                  dtype=np.float32):
         self.stride = stride
-        self.embed_w = store[f"{name}.embed.weight"] = P.conv_kernel(rng, c_out, c_in, 3, dtype)
+        self.embed_w = store[f"{name}.embed.weight"] = P.conv_kernel(rng, c_out, c_in, T.KERNEL_T, dtype)
         self.embed_b = store[f"{name}.embed.bias"] = P.zeros((c_out,), dtype)
-        self.gate_w = store[f"{name}.gate.weight"] = P.conv_kernel(rng, c_out, c_in, 3, dtype)
+        self.gate_w = store[f"{name}.gate.weight"] = P.conv_kernel(rng, c_out, c_in, T.KERNEL_T, dtype)
         self.gate_b = store[f"{name}.gate.bias"] = P.zeros((c_out,), dtype)
         self.gamma = store[f"{name}.norm.gamma"] = P.ones((c_out,), dtype)
         self.beta = store[f"{name}.norm.beta"] = P.zeros((c_out,), dtype)

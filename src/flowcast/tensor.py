@@ -10,6 +10,10 @@ a backward closure on the output. ``Tensor.backward()`` walks the graph in
 reverse topological order exactly once, releasing each intermediate node as
 soon as its closure has run, so a graph cannot be differentiated twice.
 
+A tensor owns its ``.grad``. A backward closure hands each array to one
+input at most, and ``_accumulate`` takes it over as is when it is writable,
+C-contiguous and of the input's dtype, and copies it otherwise.
+
 Every contraction runs one BLAS GEMM per sample, so each sample's result
 is bitwise the same whether or not it is part of a larger batch:
 
@@ -176,10 +180,12 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str,
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad, which a first g becomes: g itself (the caller gives
+    it up) if it is a writable, C-contiguous array of t's dtype, else a copy."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.dtype)   # a copy: never aliases g
+        t.grad = np.require(g, t.dtype, "CW")
     else:
         t.grad += g
 
@@ -209,7 +215,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        gb = _unbroadcast(g, b.shape)
+        _accumulate(b, gb.copy() if gb is a.grad else gb)   # b's own where a took g
 
     return _make(a.data + b.data, (a, b), backward, "add")
 
@@ -258,7 +265,7 @@ def sum_over_axis(a: Tensor) -> Tensor:
     y = a.data.sum()
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _make(np.asarray(y), (a,), backward, "sum")
 
@@ -526,13 +533,8 @@ def gated_block(x: Tensor, embed_w: Tensor, embed_b: Tensor, gate_w: Tensor, gat
         _accumulate(embed_b, dw[:d, ck])
         _accumulate(gate_w, dw[d:, :ck].reshape(gate_w.shape))
         _accumulate(gate_b, dw[d:, ck])
-        if dxf is None:
-            return
-        dx = dxf.reshape(b, c, n, -1)
-        if x.grad is None and dx.shape[-1] == t:
-            x.grad = dx         # built here and aliased by nothing: no copy
-        else:
-            _accumulate(x, dx[..., :t])
+        if dxf is not None:
+            _accumulate(x, dxf.reshape(b, c, n, -1)[..., :t])
 
     return _make(y.reshape(b, d, n, t_out), parents, backward, "gated_block")
 
@@ -706,7 +708,7 @@ def huber(pred: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
 
     def backward(g):
         d = g * np.where(quad, r, delta * np.sign(r)) / count
-        _accumulate(pred, d.astype(pred.dtype, copy=False))
-        _accumulate(target, (-d).astype(target.dtype, copy=False))
+        _accumulate(pred, d)
+        _accumulate(target, -d)
 
     return _make(y, (pred, target), backward, "huber")

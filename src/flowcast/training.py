@@ -46,7 +46,7 @@ def evaluate(model: Forecaster, prep: PreparedData, split: str,
     acc = MetricAccumulator()
     with T.no_grad():
         for batch in iter_batches(prep, split, batch_size):
-            yhat, _ = model.forward(T.Tensor(batch.inputs))
+            yhat = model.forward(T.Tensor(batch.inputs))[0]
             acc.add(prep.stats.invert(yhat.data), batch.targets_raw)
     return acc.report()
 

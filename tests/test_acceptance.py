@@ -135,12 +135,16 @@ def test_criterion_3_analytic_unit_values():
     from flowcast.graph import squeeze_adjacency
     one = T.Tensor(np.full((1, 1, 1, 1), 1.0, dtype=np.float64))
     squeeze_val = squeeze_adjacency(one, one, "max")[0].data.item()  # R = s * f4 = 1
+    cfg = TrainConfig()
+
+    def lr(epoch):
+        return lr_at_epoch(epoch, cfg.lr0, cfg.lr_decay, cfg.lr_decay_every)
 
     checks = {
         "huber(0.5)=0.125": abs(h(0.5) - 0.125),
         "huber(2)=1.5": abs(h(2.0) - 1.5),
-        "lr(5)=0.00021": abs(lr_at_epoch(5) - 0.00021),
-        "lr(10)=0.000147": abs(lr_at_epoch(10) - 0.000147),
+        "lr(5)=0.00021": abs(lr(5) - 0.00021),
+        "lr(10)=0.000147": abs(lr(10) - 0.000147),
         "squeeze(1)=tanh(1)": abs(squeeze_val - np.tanh(1.0)),
     }
     worst = max(checks.values())

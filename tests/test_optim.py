@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowcast.config import TrainConfig
 from flowcast.optim import Adam, NumericalError, lr_at_epoch
 from flowcast.tensor import Tensor
 
@@ -9,16 +10,21 @@ def make_param(values):
     return Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
 
 
+def default_lr(epoch):
+    cfg = TrainConfig()
+    return lr_at_epoch(epoch, cfg.lr0, cfg.lr_decay, cfg.lr_decay_every)
+
+
 class TestSchedule:
     @pytest.mark.parametrize("epoch,expected", [
         (0, 0.0003), (4, 0.0003), (5, 0.00021), (9, 0.00021), (10, 0.000147),
     ])
     def test_step_decay(self, epoch, expected):
-        assert lr_at_epoch(epoch) == pytest.approx(expected, abs=1e-9)
+        assert default_lr(epoch) == pytest.approx(expected, abs=1e-9)
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            lr_at_epoch(-1)
+            default_lr(-1)
 
 
 class TestAdam:

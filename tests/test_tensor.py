@@ -703,13 +703,47 @@ class TestBackward:
         assert mid.grad is None and mid._backward_fn is None and mid._parents == ()
         assert np.allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
 
-    def test_first_gradient_is_a_copy_in_the_tensors_dtype(self):
+    def test_first_gradient_of_the_tensors_form_is_taken_over(self):
         x = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        g = np.array([1.0, 2.0, 3.0])
+        g = np.array([1.0, 2.0, 3.0], dtype=np.float32)
         T._accumulate(x, g)
-        assert x.grad.dtype == np.float32 and not np.shares_memory(x.grad, g)
+        assert np.shares_memory(x.grad, g)
         T._accumulate(x, g)
-        assert np.array_equal(g, [1.0, 2.0, 3.0]) and np.array_equal(x.grad, [2.0, 4.0, 6.0])
+        assert np.array_equal(x.grad, [2.0, 4.0, 6.0])
+
+    @pytest.mark.parametrize("g", [
+        np.array([1.0, 2.0, 3.0]),
+        np.arange(1.0, 7.0, dtype=np.float32)[::2],
+        np.broadcast_to(np.float32(2.0), (3,)),
+    ], ids=["float64", "strided", "read-only"])
+    def test_first_gradient_of_another_form_is_copied_into_it(self, g):
+        x = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        before = g.copy()
+        T._accumulate(x, g)
+        assert not np.shares_memory(x.grad, g) and np.array_equal(x.grad, before)
+        assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous and x.grad.flags.writeable
+        T._accumulate(x, g)
+        assert np.array_equal(g, before) and np.array_equal(x.grad, 2 * before)
+
+    def test_sum_of_a_0d_tensor_gives_it_a_writable_gradient(self):
+        # sum's backward hands over a read-only 0-d broadcast of the loss's seed
+        x = t64(2.0, requires_grad=True)
+        T.sum_over_axis(x).backward()
+        assert x.grad.shape == () and x.grad.flags.writeable and x.grad == 1.0
+
+    @pytest.mark.parametrize("same", [True, False], ids=["add(x, x)", "add(a, b)"])
+    def test_add_gives_each_operand_a_gradient_of_its_own(self, same):
+        rng = np.random.default_rng(4)
+        a = t64(rng.normal(size=(2, 3)), requires_grad=True)
+        b = a if same else t64(rng.normal(size=(2, 3)), requires_grad=True)
+        w = rng.normal(size=(2, 3))
+        T.sum_over_axis(T.mul(T.add(a, b), t64(w))).backward()
+        if same:
+            assert np.array_equal(a.grad, w + w)
+            return
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, w)
 
     @pytest.mark.parametrize("take_first", [True, False])
     def test_take_time_gradient_is_its_one_hot_slice_in_either_order(self, take_first):

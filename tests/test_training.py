@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +126,20 @@ class TestTrainingLoop:
         assert res.diverged and not res.step_losses
         assert f"diverged at epoch 0 step 0: {cause}" in caplog.text
 
+    def test_a_step_leaves_every_parameter_a_gradient_of_its_own(self, tiny_prep):
+        model = Forecaster(ModelConfig(), seed=7)
+        train(model, tiny_prep, TrainConfig(epochs=1, batch_size=8), max_steps=1)
+        grads = [p.grad for p in model.params.values()]
+        assert all(g is not None for g in grads)
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+        before = [g.copy() for g in grads]
+        for i, g in enumerate(grads):
+            g += 1.0
+            assert all(np.array_equal(h, k) for j, (h, k) in enumerate(zip(grads, before))
+                       if j != i)
+            g[...] = before[i]
+
     def test_log_carries_both_loss_terms(self, tiny_prep):
         model = tiny_setup(seed=5)
         res = train(model, tiny_prep, TrainConfig(epochs=2, batch_size=16, seed=5))
@@ -155,6 +172,26 @@ class TestEvaluate:
         b = evaluate(model, tiny_prep, "test", 7)
         assert a.mae == pytest.approx(b.mae, rel=1e-6)
         assert a.rmse == pytest.approx(b.rmse, rel=1e-6)
+
+    def test_peak_memory_does_not_grow_with_the_batch_count(self, tiny_prep):
+        # a batch's stage outputs, correlations and adjacencies are gone
+        # before the next batch's forward
+        model = Forecaster(ModelConfig(), seed=1)
+        b = 16
+        starts = tiny_prep.splits["train"]
+
+        def peak(batches):
+            prep = dataclasses.replace(tiny_prep, splits={"train": starts[:batches * b]})
+            tracemalloc.start()
+            try:
+                evaluate(model, prep, "train", b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert len(starts) >= 3 * b
+        one = peak(1)
+        assert peak(3) <= 1.05 * one
 
     def test_too_short_series_raises_before_eval(self):
         from flowcast.data import DataError
