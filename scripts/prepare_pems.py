@@ -3,7 +3,8 @@
 
 The public PEMS03/04/07/08 archives carry an array under the key ``data``
 shaped [T, N, features] with traffic flow in feature 0 at 5-minute
-intervals. Zeros in these exports usually encode missing samples; pass
+intervals. Non-finite cells are marked missing, as the loaders mark them.
+Zeros in these exports usually encode missing samples; pass
 --zeros-as-missing to mark them for interpolation instead of treating them
 as real counts.
 
@@ -16,7 +17,7 @@ import argparse
 import numpy as np
 
 from flowcast.checkpoint import write_atomic
-from flowcast.data import SeriesDataset, save_bin
+from flowcast.data import SeriesDataset, mark_missing, save_bin
 
 
 def main():
@@ -30,16 +31,12 @@ def main():
     arr = np.load(args.npz_path)[args.key]
     if arr.ndim == 3:
         arr = arr[:, :, 0]
-    flow = arr.astype(np.float32)
-    mask = np.isnan(flow)
-    if args.zeros_as_missing:
-        mask |= flow == 0.0
+    flow, mask = mark_missing(arr.astype(np.float32), False, args.zeros_as_missing)
     print(f"{args.npz_path}: T={flow.shape[0]} N={flow.shape[1]} "
           f"missing {100.0 * mask.mean():.3f}%")
 
     if args.out_path.endswith(".bin"):
-        ds = SeriesDataset(np.where(mask, 0, flow).astype(np.float32), mask)
-        save_bin(ds, args.out_path)
+        save_bin(SeriesDataset(flow, mask), args.out_path)
     else:
         out = flow.astype(np.float64)
         out[mask] = np.nan

@@ -141,7 +141,9 @@ def _load_model_for(args) -> tuple[Forecaster, C.RunConfig, PreparedData, dict]:
     params, header = ckpt.load(args.checkpoint)
     try:
         cfg = C.from_dict(header["config"]["run"])
-        trained_nodes = int(header["config"]["num_nodes"])
+        trained_nodes = header["config"]["num_nodes"]
+        if not (C._is_int(trained_nodes) and trained_nodes >= 1):
+            raise ValueError(f"num_nodes must be an int >= 1, got {trained_nodes!r}")
         model = Forecaster(cfg.model, seed=cfg.train.seed)
         model.load_state_arrays(params)
     except (KeyError, TypeError, ValueError) as exc:   # ValueError covers ConfigError

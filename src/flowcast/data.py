@@ -15,15 +15,14 @@ the window list.
 
 from __future__ import annotations
 
-import json
-import struct
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import read_frame, write_atomic, write_frame
+from .config import _is_int
 
 BIN_MAGIC = b"ESGCNDS1"
 TRAIN_FRACTION = 0.6   # of time steps for the normalizer, and of windows
@@ -39,7 +38,6 @@ class SeriesDataset:
     values: np.ndarray                 # [T, N] float32
     missing_mask: np.ndarray           # [T, N] bool, True = missing
     interval_minutes: int = 5
-    name: str = ""
 
     @property
     def num_steps(self) -> int:
@@ -65,7 +63,7 @@ class NormStats:
 # -- loading --------------------------------------------------------------------
 
 
-def _fill_missing(values: np.ndarray, marked: np.ndarray | bool, zeros_as_missing: bool):
+def mark_missing(values: np.ndarray, marked: np.ndarray | bool, zeros_as_missing: bool):
     """(values with every missing cell set to 0, mask). A cell is missing where
     marked, where it is not finite and, with zeros_as_missing, where it is 0."""
     mask = ~np.isfinite(values) | marked
@@ -86,48 +84,34 @@ def load_csv(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
         raise DataError(f"malformed csv {path}: {exc}") from None
     if values.size == 0:
         raise DataError(f"empty data file: {path}")
-    return SeriesDataset(*_fill_missing(values, False, zeros_as_missing), name=str(path))
+    return SeriesDataset(*mark_missing(values, False, zeros_as_missing))
 
 
 def load_bin(path: str, zeros_as_missing: bool = False) -> SeriesDataset:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {path}") from None
-    if len(blob) < len(BIN_MAGIC) + 4:
-        raise DataError(f"truncated bin file: {path}")
-    if blob[:8] != BIN_MAGIC:
-        raise DataError(f"bad magic in {path}: expected {BIN_MAGIC!r}, got {blob[:8]!r}")
-    (hlen,) = struct.unpack_from("<I", blob, 8)
-    header_end = 12 + hlen
-    try:
-        header = json.loads(blob[12:header_end].decode("utf-8"))
-        t, n = int(header["T"]), int(header["N"])
-        interval = int(header.get("interval_minutes", 5))
-        has_mask = bool(header["has_mask"])
-    except (ValueError, KeyError, TypeError, OverflowError, UnicodeDecodeError) as exc:
-        raise DataError(f"malformed bin header in {path}: {exc}") from None
-    if t <= 0 or n <= 0:
-        raise DataError(f"bin header of {path} declares empty data ({t}x{n})")
+    header, blob, offset = read_frame(path, BIN_MAGIC, DataError, "bin file")
+    if not isinstance(header, dict):
+        raise DataError(f"malformed bin header in {path}: not an object")
+    t, n = header.get("T"), header.get("N")
+    interval = header.get("interval_minutes", 5)
+    has_mask = header.get("has_mask")
+    if not (all(_is_int(v) and v >= 1 for v in (t, n, interval)) and isinstance(has_mask, bool)):
+        raise DataError(f"malformed bin header in {path}: T, N and interval_minutes must be "
+                        f"ints >= 1, has_mask true or false")
 
-    need = header_end + 4 * t * n + (t * n if has_mask else 0)
+    need = offset + 4 * t * n + (t * n if has_mask else 0)
     if len(blob) != need:
         raise DataError(f"bin payload of {path} is {len(blob)} bytes, expected {need}")
-    values = np.frombuffer(blob, dtype="<f4", count=t * n, offset=header_end).reshape(t, n)
+    values = np.frombuffer(blob, dtype="<f4", count=t * n, offset=offset).reshape(t, n)
     marked = has_mask and np.frombuffer(blob, dtype=np.uint8, count=t * n,
-                                        offset=header_end + 4 * t * n).reshape(t, n) != 0
-    return SeriesDataset(*_fill_missing(values, marked, zeros_as_missing),
-                         interval_minutes=interval, name=str(path))
+                                        offset=offset + 4 * t * n).reshape(t, n) != 0
+    return SeriesDataset(*mark_missing(values, marked, zeros_as_missing),
+                         interval_minutes=interval)
 
 
 def save_bin(ds: SeriesDataset, path: str) -> None:
-    header = json.dumps({"T": ds.num_steps, "N": ds.num_nodes,
-                         "interval_minutes": ds.interval_minutes, "has_mask": True}).encode("utf-8")
     with write_atomic(path) as fh:
-        fh.write(BIN_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
+        write_frame(fh, BIN_MAGIC, {"T": ds.num_steps, "N": ds.num_nodes,
+                                    "interval_minutes": ds.interval_minutes, "has_mask": True})
         fh.write(ds.values.astype("<f4").tobytes())
         fh.write(ds.missing_mask.astype(np.uint8).tobytes())
 
@@ -173,8 +157,7 @@ def interpolate(ds: SeriesDataset) -> SeriesDataset:
         fill = slope[run] * (step - lo[run]) + v_lo[run]
         # an end run takes its neighbour's value itself, as np.interp does
         out[step, node] = np.where((no_lo | no_hi)[run], v_lo[run], fill)
-    return SeriesDataset(out, np.zeros_like(ds.missing_mask),
-                         interval_minutes=ds.interval_minutes, name=ds.name)
+    return SeriesDataset(out, np.zeros_like(ds.missing_mask), interval_minutes=ds.interval_minutes)
 
 
 def fit_normalizer(values: np.ndarray) -> NormStats:

@@ -131,5 +131,7 @@ class Forecaster:
             raise ValueError(f"parameter set mismatch: missing {sorted(missing)}, "
                              f"unexpected {sorted(extra)}")
         for name, p in self.params.items():
-            arr = np.asarray(state[name], dtype=self.dtype).reshape(p.shape)
+            arr = np.asarray(state[name], dtype=self.dtype)
+            if arr.shape != p.shape:
+                raise ValueError(f"parameter {name} has shape {arr.shape}, expected {p.shape}")
             p.data = arr.copy()

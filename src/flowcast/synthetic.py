@@ -26,4 +26,4 @@ def sinusoid_dataset(nodes: int = 10, steps: int = 500, seed: int = 0,
         # interpolation needs at least one observation per node
         mask[0] = False
     values = np.where(mask, 0.0, values)
-    return SeriesDataset(values.astype(np.float32), mask, name="synthetic-sinusoid")
+    return SeriesDataset(values.astype(np.float32), mask)

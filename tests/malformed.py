@@ -38,3 +38,18 @@ BAD_TYPE_CONFIGS = [
     {"model": {"use_es": "no"}},
     {"train": {"lr0": 10**400}},   # a JSON integer too large for a float
 ]
+
+# bin headers whose only fault is a value of the wrong type or range; read with
+# int() and bool(), each declares 8 cells with a mask, so BAD_BIN_PAYLOAD fits
+BAD_BIN_HEADERS = [
+    {"T": "4", "N": 2, "has_mask": True},
+    {"T": 4.9, "N": 2, "has_mask": True},
+    {"T": True, "N": 8, "has_mask": True},
+    {"T": 4, "N": 2.0, "has_mask": True},
+    {"T": 4, "N": 2, "has_mask": "false"},
+    {"T": 4, "N": 2, "has_mask": 1},
+    {"T": 4, "N": 2, "has_mask": True, "interval_minutes": -7},
+    {"T": 4, "N": 2, "has_mask": True, "interval_minutes": 0},
+    {"T": 4, "N": 2, "has_mask": True, "interval_minutes": "5"},
+]
+BAD_BIN_PAYLOAD = bytes(8 * 4 + 8)

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcast import checkpoint as ckpt
+from flowcast import data as D
 from malformed import framed, json_values, payload_of
 
 
@@ -28,6 +31,24 @@ def test_round_trip(tmp_path):
     assert header["epoch"] == 7
     assert header["val_mae"] == 1.25
     assert header["config"]["run"]["train"]["seed"] == 3
+
+
+def test_framed_files_keep_their_bytes(tmp_path):
+    """Both writers share one frame; these digests pin its bytes and each payload."""
+    ds = D.SeriesDataset(np.array([[1.5, 0.0], [2.25, -3.0], [0.0, 1e6]], dtype=np.float32),
+                         np.array([[False, True], [False, False], [True, False]]),
+                         interval_minutes=10)
+    D.save_bin(ds, str(tmp_path / "series.bin"))
+    params = {"b.bias": np.array([0.5, -1.0, 2.0], dtype=np.float32),
+              "a.weight": np.arange(6, dtype=np.float32).reshape(2, 1, 3) / 4,
+              "attn": np.asarray(1.0, dtype=np.float32)}
+    ckpt.save(str(tmp_path / "model.ckpt"), params,
+              {"run": {"train": {"seed": 3}}, "num_nodes": 2}, epoch=4, val_mae=1.25)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("series.bin", "model.ckpt")}
+    assert digests == {
+        "series.bin": "39c595323869329593751854096db4dff8ecf1280c403cb448ebf30f457b9f42",
+        "model.ckpt": "665dc58ec84abd30025a15954119edbd1d725850ec05e0d632b487046163527a"}
 
 
 def test_header_is_strict_json(tmp_path):

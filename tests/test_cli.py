@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from flowcast import checkpoint as ckpt
 from flowcast import gradcheck
 from flowcast.cli import _write_json, _write_train_log, main
-from flowcast.data import BIN_MAGIC
+from flowcast.data import BIN_MAGIC, save_bin
 from flowcast.optim import NumericalError
 from flowcast.synthetic import sinusoid_dataset
 from malformed import BAD_TYPE_CONFIGS, framed, json_values, payload_of
@@ -291,6 +291,30 @@ class TestMalformedCheckpoint:
         path = _with_header(cli_workspace / "out" / "best.ckpt", tmp_path / "bad.ckpt", header)
         assert main(["eval", path, "--out", str(tmp_path / "e")]) == 3
 
+    @pytest.mark.parametrize("entry, value", [
+        ("param_shapes/stage2.block1.embed.weight", [3, 8, 1, 8]),   # the same 192 floats
+        ("param_shapes/stage2.block1.embed.weight", [8, 8, 1, -1]),
+        ("param_shapes/stage1.block1.embed.bias", 8),
+        ("config/num_nodes", "6"),
+        ("config/num_nodes", 0),
+        ("epoch", True),
+        ("epoch", -2),
+        ("val_mae", "x"),
+        ("val_mae", float("nan")),
+    ])
+    def test_header_that_does_not_match_the_model_exits_3(self, cli_workspace, tmp_path,
+                                                          entry, value):
+        trained = cli_workspace / "out" / "best.ckpt"
+        _, header = ckpt.load(str(trained))
+        *parents, key = entry.split("/")
+        target = header
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        path = _with_header(trained, tmp_path / "bad.ckpt", header)
+        assert main(["eval", path, "--out", str(tmp_path / "e")]) == 3
+        assert not (tmp_path / "e").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(run=st.fixed_dictionaries({}, optional={
         name: st.dictionaries(st.sampled_from(["channels", "horizon", "seed", "use_es", "dir"]),
@@ -313,6 +337,20 @@ def test_wrong_shape_bin_header_exits_2(cli_workspace, tmp_path, header):
     assert main(["eval", str(cli_workspace / "out" / "best.ckpt"),
                  "--data", str(tmp_path / "bad.bin"), "--format", "bin",
                  "--out", str(tmp_path / "e")]) == 2
+
+
+def test_train_on_a_bin_header_of_the_wrong_type_exits_2(cli_workspace, tmp_path):
+    good = tmp_path / "good.bin"
+    save_bin(sinusoid_dataset(nodes=6, steps=120, seed=1), str(good))
+    header = {"T": "120", "N": 6, "interval_minutes": 5, "has_mask": True}
+    (tmp_path / "bad.bin").write_bytes(framed(BIN_MAGIC, header, payload_of(good.read_bytes())))
+    doc = json.loads((cli_workspace / "cfg.json").read_text())
+    doc["data"] = {"path": str(tmp_path / "bad.bin"), "format": "bin"}
+    doc["train"]["epochs"] = 1
+    doc["output"]["dir"] = str(tmp_path / "out")
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 class TestFileSystemErrors:

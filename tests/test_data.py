@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from flowcast import data as D
 from flowcast.synthetic import sinusoid_dataset
-from malformed import framed, json_values
+from malformed import BAD_BIN_HEADERS, BAD_BIN_PAYLOAD, framed, json_values
 
 
 def write(tmp_path, text, name="series.csv"):
@@ -73,7 +73,7 @@ class TestBinFormat:
         values = rng.uniform(0, 100, size=(20, 4)).astype(np.float32)
         mask = rng.uniform(size=(20, 4)) < 0.2
         ds = D.SeriesDataset(np.where(mask, 0, values).astype(np.float32), mask,
-                             interval_minutes=10, name="x")
+                             interval_minutes=10)
         path = str(tmp_path / "series.bin")
         D.save_bin(ds, path)
         back = D.load_bin(path)
@@ -123,6 +123,13 @@ class TestBinFormat:
             return
         assert ds.values.shape == ds.missing_mask.shape
 
+    @pytest.mark.parametrize("header", BAD_BIN_HEADERS)
+    def test_header_value_of_the_wrong_type_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(framed(D.BIN_MAGIC, header, BAD_BIN_PAYLOAD))
+        with pytest.raises(D.DataError, match="malformed bin header"):
+            D.load_bin(str(path))
+
     def test_unknown_format_rejected(self):
         with pytest.raises(D.DataError):
             D.load_dataset("x.npz", "npz")
@@ -143,7 +150,7 @@ def loop_interpolate(ds):
             raise D.DataError(f"node {node} has no observed values")
         out[:, node] = np.interp(steps, steps[observed], values[observed, node])
     return D.SeriesDataset(out.astype(np.float32), np.zeros_like(ds.missing_mask),
-                           interval_minutes=ds.interval_minutes, name=ds.name)
+                           interval_minutes=ds.interval_minutes)
 
 
 def outcome(fn, ds):

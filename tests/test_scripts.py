@@ -2,21 +2,34 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from flowcast import data as D
+from malformed import payload_of
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.fixture()
-def run_synthetic():
-    spec = importlib.util.spec_from_file_location("run_synthetic", SCRIPTS / "run_synthetic.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.fixture()
+def run_synthetic():
+    return load_script("run_synthetic")
+
+
+@pytest.fixture()
+def prepare_pems():
+    return load_script("prepare_pems")
+
+
 def exit_code(script, argv, monkeypatch) -> int:
-    monkeypatch.setattr(sys, "argv", ["run_synthetic.py", *argv])
+    monkeypatch.setattr(sys, "argv", [script.__file__, *argv])
     try:
         script.main()
     except SystemExit as exc:
@@ -48,3 +61,29 @@ class TestRunSynthetic:
         assert exit_code(run_synthetic, argv, monkeypatch) == 2
         assert calls == ["train", "export-aam", "export-aam", "predict"][:failing + 1]
         assert "artifacts in" not in capsys.readouterr().out
+
+
+# the flow feature of a [T, N, F] archive, with a NaN, an inf and zeros in it
+FLOW = np.array([[1.0, np.nan, 3.5], [0.0, 5.25, np.inf], [7.0, 8.0, 9.5], [2.0, 0.0, 4.0]])
+
+
+class TestPreparePems:
+    @pytest.mark.parametrize("zeros_as_missing", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_output_loads_as_the_flow_feature_does(self, prepare_pems, tmp_path, monkeypatch,
+                                                   capsys, fmt, zeros_as_missing):
+        # feature 1 differs from feature 0 in every observed cell and has no zeros
+        np.savez(tmp_path / "pems.npz", data=np.stack([FLOW, FLOW + 100.0], axis=-1))
+        out = tmp_path / f"series.{fmt}"
+        argv = [str(tmp_path / "pems.npz"), str(out)]
+        assert exit_code(prepare_pems, argv + ["--zeros-as-missing"] * zeros_as_missing,
+                         monkeypatch) == 0
+        np.savetxt(tmp_path / "flow.csv", FLOW, delimiter=",")
+        want = D.load_csv(str(tmp_path / "flow.csv"), zeros_as_missing)
+        got = D.load_dataset(str(out), fmt)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.missing_mask, want.missing_mask)
+        assert f"missing {100.0 * want.missing_mask.mean():.3f}%" in capsys.readouterr().out
+        if fmt == "bin":   # the file itself marks every missing cell
+            stored = np.frombuffer(payload_of(out.read_bytes())[4 * FLOW.size:], np.uint8)
+            assert np.array_equal(stored.reshape(FLOW.shape) != 0, want.missing_mask)
