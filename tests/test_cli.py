@@ -218,6 +218,22 @@ def test_run_that_never_validated_saves_null_val_mae_and_evals(cli_workspace, tm
                                                                         "val_mae": None}
 
 
+def test_step_that_overflows_a_parameter_keeps_a_finite_checkpoint(cli_workspace, tmp_path,
+                                                                   caplog):
+    # lr0 1e39 passes validation; Adam's first step would make parameters inf
+    cfg = read_json(cli_workspace / "cfg.json")
+    cfg["train"]["lr0"] = 1e39
+    cfg["output"]["dir"] = str(tmp_path / "t")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 4
+    params, header = ckpt.load(str(tmp_path / "t" / "best.ckpt"))
+    assert header["epoch"] == -1
+    assert all(np.isfinite(p).all() for p in params.values())
+    assert read_json(tmp_path / "t" / "metrics.json")["runs"][0]["diverged"] is True
+    assert "diverged at epoch 0 step 0: forward finite; the step makes parameter" in caplog.text
+
+
 def test_failed_csv_write_keeps_the_earlier_file(tmp_path):
     path = tmp_path / "train_log.csv"
     row = dict(epoch=1, lr=1e-3, train_huber=0.5, train_contrast=0.1,

@@ -9,7 +9,8 @@ from flowcast import gradcheck
 
 
 def test_every_registered_op_matches_finite_differences():
-    results = gradcheck.run_all(seed=11, include_model=False)
+    results = [gradcheck.check_case(case, seed=11 + i)
+               for i, case in enumerate(gradcheck.default_registry())]
     failed = [r for r in results if not r.passed]
     assert not failed, f"ops failing the oracle: {[(r.name, r.max_rel_err) for r in failed]}"
 
@@ -54,8 +55,7 @@ def _broken_case() -> gradcheck.OpCase:
 
 
 def test_broken_op_is_caught():
-    results = gradcheck.run_all(seed=0, registry=[_broken_case()], include_model=False)
-    assert not results[0].passed
+    assert not gradcheck.check_case(_broken_case(), seed=0).passed
 
 
 def _kink_case(name: str, op, data: np.ndarray, proj: np.ndarray) -> gradcheck.OpCase:
@@ -136,7 +136,9 @@ def test_zero_gradient_at_a_large_loss_is_not_read_as_error():
     assert leaves["bias"].grad[0] == 0.0 and float(loss.data) > 1e4
     # float64 rounding alone moves the central difference off 0: against the
     # fixed 1e-6 floor that reads as error
-    fd, h = gradcheck._central_difference(forward, leaves["bias"].data.reshape(-1), 0)
+    h = gradcheck.FD_STEP
+    fd, straddles = gradcheck._central_difference(forward, leaves["bias"].data.reshape(-1), 0, h)
+    assert not straddles
     assert fd != 0.0 and gradcheck.relative_error(fd, 0.0) > gradcheck.TOLERANCE
     assert gradcheck.relative_error(fd, 0.0, gradcheck.resolution_floor(float(loss.data), h)) < 1e-5
     result = gradcheck.check_case(case, seed=3)
@@ -182,9 +184,33 @@ def test_smooth_steep_coordinate_passes_on_the_four_point_recheck():
     forward().backward()
     beta = leaves["stage1.block1.norm.beta"]
     ad = float(beta.grad[0])
-    fd, h = gradcheck._central_difference(forward, beta.data.reshape(-1), 0)
-    assert h == gradcheck.FD_STEP and gradcheck.relative_error(fd, ad) > gradcheck.TOLERANCE
-    fd4 = gradcheck._fourth_order_difference(forward, beta.data.reshape(-1), 0, h)
+    flat, h = beta.data.reshape(-1), gradcheck.FD_STEP
+    fd, straddles = gradcheck._central_difference(forward, flat, 0, h)
+    assert not straddles and gradcheck.relative_error(fd, ad) > gradcheck.TOLERANCE
+    fd4 = (4.0 * fd - gradcheck._central_difference(forward, flat, 0, 2 * h)[0]) / 3.0
     assert gradcheck.relative_error(fd4, ad) < gradcheck.TOLERANCE / 10
     result = gradcheck.check_case(case, 47, gradcheck.MODEL_POINTS_PER_LEAF)
     assert result.passed, result
+
+
+def test_a_rechecked_coordinate_costs_two_more_evaluations():
+    # tanh(3000 x) is smooth but steep: at x[0] and x[2] the central difference
+    # misses by its O(h^2) truncation alone and is rechecked; the four-point
+    # stencil reuses f(x + h) and f(x - h) and evaluates only f(x +- 2h)
+    calls = []
+
+    def build(rng):
+        x = T.Tensor(np.array([0.0, 2e-4, -1e-4]), requires_grad=True, dtype=np.float64)
+        scale = T.Tensor(np.full(3, 3000.0), dtype=np.float64)
+        w = T.Tensor(np.array([0.7, -0.3, 0.5]), dtype=np.float64)
+
+        def forward():
+            calls.append(1)
+            return T.sum_over_axis(T.mul(w, T.tanh(T.mul(scale, x))))
+
+        return {"x": x}, forward
+
+    result = gradcheck.check_case(gradcheck.OpCase("steep_tanh", build), seed=0)
+    assert result.passed and result.points == 3 and result.restepped == ()
+    # one forward for the gradient, two per coordinate, two per recheck
+    assert len(calls) == 1 + 2 * 3 + 2 * 2

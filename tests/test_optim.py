@@ -65,6 +65,15 @@ class TestAdam:
         with pytest.raises(NumericalError, match="stage1.embed.weight"):
             opt.step()
 
+    def test_step_that_overflows_a_parameter_names_it_and_assigns_none(self):
+        # a finite gradient and a finite lr: -1e38 - 3e38 overflows float32
+        first, second = make_param([0.0]), make_param([-1e38])
+        opt = Adam({"stage1.embed.weight": first, "es.gcn.bias": second}, lr=3e38)
+        first.grad = second.grad = np.ones(1, dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="es.gcn.bias"):
+            opt.step()
+        assert first.data[0] == 0.0 and second.data[0] == np.float32(-1e38)
+
     def test_missing_gradient_treated_as_zero(self):
         p = make_param([2.0])
         opt = Adam({"p": p}, lr=0.01, weight_decay=0.0)

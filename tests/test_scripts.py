@@ -87,3 +87,28 @@ class TestPreparePems:
         if fmt == "bin":   # the file itself marks every missing cell
             stored = np.frombuffer(payload_of(out.read_bytes())[4 * FLOW.size:], np.uint8)
             assert np.array_equal(stored.reshape(FLOW.shape) != 0, want.missing_mask)
+
+    @pytest.mark.parametrize("make,argv,out", [
+        pytest.param(lambda p: None, [], "series.bin", id="missing-npz"),
+        pytest.param(lambda p: p.write_text("1,2\n3,4\n"), [], "series.bin", id="not-an-npz"),
+        pytest.param(lambda p: np.savez(p, data=FLOW), ["--key", "nope"], "series.bin",
+                     id="unknown-key"),
+        pytest.param(lambda p: np.savez(p, data=np.arange(5.0)), [], "series.bin", id="1-d"),
+        pytest.param(lambda p: np.savez(p, data=np.zeros((4, 3, 0))), [], "series.bin",
+                     id="no-features"),
+        pytest.param(lambda p: np.savez(p, data=np.array([["a", "b"], ["c", "d"]])), [],
+                     "series.bin", id="non-numeric"),
+        pytest.param(lambda p: np.savez(p, data=np.zeros((50, 3, 2, 2))), [], "series.bin",
+                     id="4-d"),
+        pytest.param(lambda p: np.savez(p, data=FLOW), [], "pems.npz/series.bin",
+                     id="out-under-a-file"),
+    ])
+    def test_bad_input_exits_2_with_one_error_line_and_writes_nothing(
+            self, prepare_pems, tmp_path, monkeypatch, capsys, make, argv, out):
+        make(tmp_path / "pems.npz")
+        before = sorted(tmp_path.iterdir())
+        argv = [str(tmp_path / "pems.npz"), str(tmp_path / out), *argv]
+        assert exit_code(prepare_pems, argv, monkeypatch) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert sorted(tmp_path.iterdir()) == before
